@@ -3,20 +3,20 @@
 Canonical element arithmetic in the reflection representation over
 Q(2*cos(pi/L)), root systems, point location in the Tits cone, parabolic
 subgroup algebra (membership, containment, intersection) and parabolic
-closure, all in exact arithmetic, together with brute-force reference
-implementations for finite groups.
+closure, all in exact arithmetic.  The one brute-force route, for finite
+groups only, is `oracle.py` (enumeration, literal subgroup sets, brute_pc);
+the engine modules never import it, so they are never checked against
+themselves.
 """
 
 from . import errors
 from .coxgroup import (CoxeterSystem, GroupElement, build_system,
                        load_group_file, order_of_product, parse_group_file,
                        serialize_group)
-from .oracle import (FiniteGroupTable, all_parabolics, brute_intersect,
-                     brute_pc, enumerate_group)
+from .oracle import FiniteGroupTable, brute_pc, enumerate_group
 from .parabolic import (ConjugacyWitness, Parabolic, conjugacy_normalize,
                         intersect, make)
-from .paraclose import (ClosureQuery, ClosureResult, ClosureStatus, is_finite,
-                        pc, pc_oracle_finite)
+from .paraclose import ClosureQuery, ClosureResult, ClosureStatus, pc
 from .roots import (Reflection, Root, descend_root, enumerate_roots,
                     reflection_of_root, root_depths, root_of, simple_root)
 from .scalar import (INFINITY, FieldContext, FieldScalar, build_field,
@@ -35,10 +35,8 @@ __all__ = [
     "enumerate_roots", "root_depths", "descend_root",
     "DualPoint", "CellLocation", "fundamental_point", "locate", "stabilizer",
     "Parabolic", "ConjugacyWitness", "make", "intersect", "conjugacy_normalize",
-    "ClosureQuery", "ClosureResult", "ClosureStatus", "pc", "pc_oracle_finite",
-    "is_finite",
-    "FiniteGroupTable", "enumerate_group", "all_parabolics", "brute_intersect",
-    "brute_pc",
+    "ClosureQuery", "ClosureResult", "ClosureStatus", "pc",
+    "FiniteGroupTable", "enumerate_group", "brute_pc",
     "SUITES", "SuiteResult", "run_suites",
     "errors", "__version__",
 ]

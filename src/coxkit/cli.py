@@ -75,6 +75,14 @@ def _parse_subset(system: CoxeterSystem, text: str):
     return system.label_set(tok.strip() for tok in text.split(","))
 
 
+def _count(text: str) -> int:
+    """argparse type for a non-negative integer given in ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _word_str(g) -> str:
     return g.system.format_word(g.word)
 
@@ -267,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
 
     p = add("roots", cmd_roots, "positive roots by reflection depth")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_count, default=8)
 
     p = add("reflect", cmd_reflect,
             "canonical word of the reflection along a positive root")
@@ -286,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("pc", cmd_pc, "parabolic closure of a set of elements")
     p.add_argument("words", nargs="+")
-    p.add_argument("--radius", type=int, default=12,
+    p.add_argument("--radius", type=_count, default=12,
                    help="length radius scanned for candidates (default 12)")
 
     p = add("verify", cmd_verify,
@@ -296,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("oracle-compare", cmd_oracle_compare,
             "cross-check the brute-force table against canonical arithmetic")
-    p.add_argument("--samples", type=int, default=500,
+    p.add_argument("--samples", type=_count, default=500,
                    help="random product pairs to compare (default 500)")
 
     return parser

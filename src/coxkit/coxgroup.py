@@ -11,7 +11,7 @@ smallest s whose column s of the matrix of w^{-1} is a negative root.
 
 from __future__ import annotations
 
-from .errors import (DimensionMismatch, GroupNotFinite, InvalidMatrix,
+from .errors import (DimensionMismatch, InvalidMatrix, InvariantViolation,
                      MixedSystems, UnknownGenerator)
 from .scalar import INFINITY, FieldContext, FieldScalar, build_field, cos_pi_over, validate_matrix
 
@@ -94,11 +94,13 @@ class CoxeterSystem:
         and preserves the bilinear form."""
         n, B = self.rank, self.form
         for s, M in enumerate(self._gen_matrices):
-            assert self._matmul(M, M) == self._identity_matrix, \
-                f"generator {self.labels[s]} is not an involution"
+            if self._matmul(M, M) != self._identity_matrix:
+                raise InvariantViolation(
+                    f"generator {self.labels[s]} is not an involution")
             MT = tuple(tuple(M[i][j] for i in range(n)) for j in range(n))
-            assert self._matmul(MT, self._matmul(B, M)) == B, \
-                f"generator {self.labels[s]} does not preserve the form"
+            if self._matmul(MT, self._matmul(B, M)) != B:
+                raise InvariantViolation(
+                    f"generator {self.labels[s]} does not preserve the form")
 
     # -- fast generator actions ----------------------------------------------
 
@@ -224,7 +226,8 @@ class CoxeterSystem:
         for s in letters:
             N = self._gen_mul_left(s, N)
         word = self._word_from_inverse_matrix(N)
-        assert word is not None, "descent recursion failed on a group matrix"
+        if word is None:
+            raise InvariantViolation("descent recursion failed on a group matrix")
         return self._element(word)
 
     def element(self, text: str) -> "GroupElement":
@@ -267,40 +270,6 @@ class CoxeterSystem:
                 break
             layers.append(new)
         return layers[:length + 1], self._bfs_closed and len(layers) <= length + 1
-
-    def count_elements(self, cap: int) -> tuple[int, bool]:
-        """Group order by matrix-only breadth-first closure, without building
-        elements (so unbounded groups cost no word storage).  Returns
-        (count, closed); when the count passes the cap the walk stops with
-        closed = False."""
-        frontier = [self._identity_matrix]
-        count = 1
-        while frontier:
-            seen = set()
-            for M in frontier:
-                for s in range(self.rank):
-                    if _first_sign(tuple(row[s] for row in M)) < 0:
-                        continue
-                    Mh = self._gen_mul_right(M, s)
-                    seen.add(Mh)
-            count += len(seen)
-            if count > cap:
-                return count, False
-            frontier = list(seen)
-        return count, True
-
-    def enumerate_elements(self, cap: int) -> list["GroupElement"]:
-        """All elements of a finite group, in (length, word) order.  Raises
-        GroupNotFinite if more than cap elements appear."""
-        horizon = len(self._bfs_layers) - 1
-        while True:
-            layers, closed = self.elements_up_to(horizon)
-            count = sum(len(layer) for layer in layers)
-            if self._bfs_closed:
-                return [g for layer in self._bfs_layers for g in layer]
-            if count > cap:
-                raise GroupNotFinite(f"more than {cap} elements enumerated")
-            horizon += 1
 
     # -- misc ---------------------------------------------------------------------
 
@@ -491,26 +460,6 @@ def build_system(matrix, labels=None) -> CoxeterSystem:
     return CoxeterSystem(matrix, labels)
 
 
-def mult(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a * b
-
-
-def inv(a: GroupElement) -> GroupElement:
-    return a.inverse()
-
-
-def length(a: GroupElement) -> int:
-    return a.length
-
-
-def normalize(system: CoxeterSystem, letters) -> GroupElement:
-    return system.normalize(letters)
-
-
-def act(w: GroupElement, vec):
-    return w.act(vec)
-
-
 def order_of_product(system: CoxeterSystem, s: int, t: int, cap: int = 64):
     """Multiplicative order of sigma_s * sigma_t by exact matrix powering.
 
@@ -525,11 +474,14 @@ def order_of_product(system: CoxeterSystem, s: int, t: int, cap: int = 64):
     bound = cap if m == INFINITY else m
     for k in range(1, bound + 1):
         if P == system._identity_matrix:
-            assert m != INFINITY and k == m, \
-                "product order disagrees with the Coxeter matrix"
+            if k != m:
+                raise InvariantViolation(
+                    f"product order {k} disagrees with the Coxeter matrix label {m}")
             return k
         P = system._matmul(P, M)
-    assert m == INFINITY, "product order disagrees with the Coxeter matrix"
+    if m != INFINITY:
+        raise InvariantViolation(
+            f"product order exceeds the Coxeter matrix label {m}")
     return INFINITY
 
 
@@ -546,15 +498,17 @@ def parse_group_file(text: str) -> CoxeterSystem:
         3 1 3
         2 3 1
 
-    Matrix entries are positive integers or ``inf``.  Blank lines and lines
-    starting with '#' are ignored.
+    Matrix entries are positive integers (ASCII digits) or ``inf``.  Blank
+    lines and lines starting with '#' are ignored.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if len(lines) < 2:
         raise InvalidMatrix("group file needs a rank line and a labels line")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "rank" or not head[1].isdigit() or int(head[1]) < 1:
+    # isascii: str.isdigit alone also accepts digits such as '²' that int() rejects
+    if (len(head) != 2 or head[0] != "rank" or not head[1].isascii()
+            or not head[1].isdigit() or int(head[1]) < 1):
         raise InvalidMatrix(f"bad rank line {lines[0]!r}")
     n = int(head[1])
     lab = lines[1].split()
@@ -569,7 +523,7 @@ def parse_group_file(text: str) -> CoxeterSystem:
         for tok in ln.split():
             if tok == "inf":
                 row.append(INFINITY)
-            elif tok.isdigit():
+            elif tok.isascii() and tok.isdigit():
                 row.append(int(tok))
             else:
                 raise InvalidMatrix(f"bad matrix entry {tok!r}")

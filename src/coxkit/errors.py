@@ -64,3 +64,8 @@ class GroupNotFinite(CoxeterError):
 
 class NotAParabolic(CoxeterError):
     """A subgroup expected to be parabolic was not found among the parabolics."""
+
+
+class InvariantViolation(CoxeterError):
+    """An exact check of a mathematical guarantee failed, so the system or
+    field at hand is inconsistent (for instance, a tampered Coxeter matrix)."""

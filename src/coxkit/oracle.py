@@ -5,7 +5,8 @@ subgroups are frozensets of element indices, products are computed by
 folding words through precomputed generator permutations, and parabolic
 subgroups are enumerated literally as {w u w^{-1} : u in W_I} over all
 elements w and subsets I.  No root systems and no Tits cone: this module is
-the independent witness the geometric algorithms are checked against.
+the only brute-force route in coxkit, the independent witness the geometric
+algorithms are checked against.  The engine modules never import it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ class FiniteGroupTable:
 
     def __init__(self, system: CoxeterSystem, cap: int = 200000):
         self.system = system
-        self.elements: list[GroupElement] = system.enumerate_elements(cap)
+        # all elements in (length, word) order, from the engine's one BFS
+        horizon = 0
+        layers, closed = system.elements_up_to(horizon)
+        while not closed:
+            if sum(len(layer) for layer in layers) > cap:
+                raise GroupNotFinite(f"more than {cap} elements enumerated")
+            horizon += 1
+            layers, closed = system.elements_up_to(horizon)
+        self.elements: list[GroupElement] = [g for layer in layers for g in layer]
         self.index: dict[GroupElement, int] = {
             g: i for i, g in enumerate(self.elements)}
         n = system.rank
@@ -117,28 +126,21 @@ def enumerate_group(system: CoxeterSystem, cap: int = 200000) -> FiniteGroupTabl
     return table
 
 
-def all_parabolics(table: FiniteGroupTable) -> list[tuple[Parabolic, frozenset[int]]]:
-    return table.parabolics()
-
-
-def brute_intersect(members_a: frozenset[int],
-                    members_b: frozenset[int]) -> frozenset[int]:
-    """Literal set intersection of two subgroups given by element indices."""
-    return members_a & members_b
-
-
 def brute_pc(table: FiniteGroupTable,
              elements) -> tuple[Parabolic, frozenset[int]]:
     """Smallest parabolic containing the given elements: the literal
-    intersection of all parabolic element sets containing them, identified
-    among the enumerated parabolics.  Raises NotAParabolic if the intersection
-    is not itself on the list (it always is, which is the point)."""
+    intersection of all parabolic element sets containing them.  Also checks
+    the minimal-rank characterization: exactly one containing parabolic has
+    minimal rank, and it equals the intersection.  Raises NotAParabolic when
+    either check fails (they never do, which is the point)."""
     indices = {table.element_index(g) for g in elements}
-    containing = [m for _, m in table.parabolics() if indices <= m]
-    result = frozenset(table.index.values())
-    for m in containing:
-        result &= m
-    for p, m in table.parabolics():
-        if m == result:
-            return p, m
-    raise NotAParabolic("intersection of parabolics not found among parabolics")
+    containing = [(p, m) for p, m in table.parabolics() if indices <= m]
+    result = frozenset.intersection(*(m for _, m in containing))
+    best_rank = min(p.rank for p, _ in containing)
+    minimal = [(p, m) for p, m in containing if p.rank == best_rank]
+    if len(minimal) != 1:
+        raise NotAParabolic("minimal-rank containing parabolic is not unique")
+    if minimal[0][1] != result:
+        raise NotAParabolic("intersection of the containing parabolics is not "
+                            "the minimal-rank one")
+    return minimal[0]

@@ -16,8 +16,7 @@ from enum import Enum
 from itertools import combinations
 
 from .coxgroup import CoxeterSystem
-from .errors import MixedSystems, NotAParabolic
-from .oracle import enumerate_group
+from .errors import InvariantViolation, MixedSystems
 from .parabolic import Parabolic, intersect, make
 from .titscone import fundamental_point
 
@@ -128,44 +127,6 @@ def pc(query: ClosureQuery) -> ClosureResult:
         if not candidate.contains(current):
             current = intersect(current, candidate)
             refinements.append(candidate)
-    assert all(current.contains_element(g) for g in elements)
+    if not all(current.contains_element(g) for g in elements):
+        raise InvariantViolation("closure does not contain the query elements")
     return ClosureResult(current, status, refinements)
-
-
-def is_finite(system: CoxeterSystem, cap: int = 200000) -> tuple[bool, int | None]:
-    """Whether the group closes up within cap elements; returns the order
-    when it does.  Matrix-only closure, so large caps on unbounded groups
-    stay cheap."""
-    count, closed = system.count_elements(cap)
-    if not closed:
-        return False, None
-    return True, count
-
-
-def pc_oracle_finite(elements, cap: int = 200000) -> tuple[Parabolic, frozenset[int]]:
-    """Reference closure for finite groups: intersect the element sets of all
-    parabolics containing the query, and verify the minimal-rank
-    characterization (exactly one containing parabolic of minimal rank, and
-    it is contained in every containing parabolic)."""
-    elements = tuple(elements)
-    if not elements:
-        raise ValueError("closure query needs at least one element")
-    system = elements[0].system
-    table = enumerate_group(system, cap)
-    indices = {table.element_index(g) for g in elements}
-    listed = table.parabolics()
-    containing = [(p, m) for p, m in listed if indices <= m]
-    result = None
-    for _, m in containing:
-        result = m if result is None else (result & m)
-    winner = [(p, m) for p, m in listed if m == result]
-    if not winner:
-        raise NotAParabolic(
-            "intersection of containing parabolics is not a parabolic")
-    best_rank = min(p.rank for p, _ in containing)
-    minimal = [(p, m) for p, m in containing if p.rank == best_rank]
-    assert len(minimal) == 1, "minimal-rank containing parabolic is not unique"
-    assert minimal[0][1] == result, \
-        "minimal-rank parabolic differs from the intersection"
-    assert all(result <= m for _, m in containing)
-    return winner[0]

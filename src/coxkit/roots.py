@@ -10,8 +10,8 @@ is a bijection between positive roots and reflections.
 from __future__ import annotations
 
 from .coxgroup import CoxeterSystem, GroupElement
-from .errors import (NotARoot, RootSignViolation, SupportNotContained,
-                     UnknownGenerator)
+from .errors import (InvariantViolation, NotARoot, RootSignViolation,
+                     SupportNotContained, UnknownGenerator)
 
 _REFLECTION_WORD_CAP = 4096
 
@@ -190,12 +190,15 @@ def descend_root(root: Root, gens) -> tuple[GroupElement, int]:
                 break
         # a positive root has positive pairing with some simple root of its
         # support, since (root, root) = 1 > 0
-        assert step is not None, "no descent available from a nonsimple root"
+        if step is None:
+            raise InvariantViolation("no descent available from a nonsimple root")
         nxt = Root(system, system._apply_gen_vec(step, current.coords))
-        assert nxt.is_positive(), "descent left the positive roots"
+        if not nxt.is_positive():
+            raise InvariantViolation("descent left the positive roots")
         letters.append(step)
         current = nxt
     target = next(iter(current.support))
     u = system.normalize(letters)
-    assert set(u.word) <= I
+    if not set(u.word) <= I:
+        raise InvariantViolation("descent word leaves the generator subset")
     return u, target

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 import sympy
 
-from .errors import DivisionByZero, IncompatibleOrder, InvalidMatrix, MixedFields
+from .errors import (DivisionByZero, IncompatibleOrder, InvalidMatrix,
+                     InvariantViolation, MixedFields)
 
 INFINITY = math.inf  # Coxeter matrix entry for an unbounded product order
 
@@ -286,13 +287,6 @@ class FieldContext:
             acc = acc * self._theta + self.from_rational(c)
         return acc
 
-    def evaluate_minpoly_at_theta(self) -> "FieldScalar":
-        """The minimal polynomial evaluated at theta; must reduce to zero."""
-        acc = self._zero
-        for c in reversed(self.minpoly):
-            acc = acc * self._theta + self.from_rational(c)
-        return acc
-
     def _refine_iso(self) -> None:
         """Halve the cached isolating interval around theta."""
         lo, hi = self._iso
@@ -421,7 +415,8 @@ class FieldScalar:
             if not r1:
                 break
         # r0 is now the gcd, a nonzero constant since minpoly is irreducible
-        assert len(r0) == 1, "minimal polynomial must be irreducible"
+        if len(r0) != 1:
+            raise InvariantViolation("minimal polynomial must be irreducible")
         g = r0[0]
         inv = [c / g for c in u0]
         inv += [_F0] * (ctx.degree - len(inv))
@@ -487,6 +482,9 @@ class FieldScalar:
         return NotImplemented
 
     def __hash__(self):
+        # a rational scalar equals its int/Fraction value, so hashes like it
+        if self.is_rational():
+            return hash(self.coeffs[0])
         return hash(self.coeffs)
 
     def __lt__(self, other):
@@ -562,8 +560,10 @@ def build_field(coxeter_matrix) -> FieldContext:
     minpoly, iso = _isolate_largest_root(factors)
     ctx = FieldContext(L, tuple(minpoly), iso)
     expected = _totient(2 * L) // 2 if L >= 3 else 1
-    assert ctx.degree == expected, "minimal polynomial has unexpected degree"
-    assert ctx.evaluate_minpoly_at_theta().is_zero()
+    if ctx.degree != expected:
+        raise InvariantViolation("minimal polynomial has unexpected degree")
+    if not ctx.evaluate_int_poly(ctx.minpoly).is_zero():
+        raise InvariantViolation("minimal polynomial does not vanish at theta")
     return ctx
 
 

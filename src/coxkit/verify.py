@@ -15,10 +15,10 @@ from itertools import combinations
 
 from . import corpus
 from .coxgroup import _first_sign, order_of_product
-from .errors import RetryCapExceeded
-from .oracle import all_parabolics, brute_intersect, enumerate_group
+from .errors import InvariantViolation, NotAParabolic, RetryCapExceeded
+from .oracle import brute_pc, enumerate_group
 from .parabolic import conjugacy_normalize, intersect, make
-from .paraclose import ClosureQuery, ClosureStatus, pc, pc_oracle_finite
+from .paraclose import ClosureQuery, ClosureStatus, pc
 from .roots import descend_root, reflection_of_root, root_depths
 from .scalar import FieldContext, double_cosine_poly
 from .titscone import fundamental_point, locate, stabilizer
@@ -92,7 +92,7 @@ def suite_kernel(seed: int = 0, cases: int = 1000) -> SuiteResult:
         rng = random.Random(seed)
         zero, one = ctx.zero, ctx.one
         checks += 1
-        if not ctx.evaluate_minpoly_at_theta().is_zero():
+        if not ctx.evaluate_int_poly(ctx.minpoly).is_zero():
             failures.append(f"{name}: minpoly(theta) != 0")
         for i in range(cases):
             a = _random_scalar(ctx, rng)
@@ -146,7 +146,7 @@ def suite_faithful(seed: int = 0) -> SuiteResult:
     checks, failures = 0, []
     for name, expected in sorted(EXPECTED_ORDERS.items()):
         system = corpus.load(name)
-        elements = system.enumerate_elements(10 * expected)
+        elements = enumerate_group(system, 10 * expected).elements
         checks += 1
         if len(elements) != expected:
             failures.append(f"{name}: order {len(elements)} != {expected}")
@@ -174,7 +174,7 @@ def suite_product_orders(seed: int = 0) -> SuiteResult:
                 checks += 1
                 try:
                     got = order_of_product(system, i, j)
-                except AssertionError as exc:
+                except InvariantViolation as exc:
                     failures.append(f"{name} ({i},{j}): {exc}")
                     continue
                 m = system.matrix[i][j]
@@ -295,7 +295,7 @@ def suite_pairwise_intersection(seed: int = 0) -> SuiteResult:
     for name in ("a3", "b3"):
         system = corpus.load(name)
         table = enumerate_group(system)
-        paras = all_parabolics(table)
+        paras = table.parabolics()
         for i, (p1, m1) in enumerate(paras):
             for j, (p2, m2) in enumerate(paras):
                 if i == j:
@@ -306,7 +306,7 @@ def suite_pairwise_intersection(seed: int = 0) -> SuiteResult:
                 except RetryCapExceeded as exc:
                     failures.append(f"{name} {p1.describe()} {p2.describe()}: {exc}")
                     continue
-                if table.subgroup_elements(q) != brute_intersect(m1, m2):
+                if table.subgroup_elements(q) != m1 & m2:
                     failures.append(f"{name}: intersect({p1.describe()}, "
                                     f"{p2.describe()}) disagrees with sets")
     return SuiteResult("pairwise-intersection", checks, failures,
@@ -363,7 +363,7 @@ def suite_rank_drop(seed: int = 0) -> SuiteResult:
     for name in ("a3", "b3"):
         system = corpus.load(name)
         table = enumerate_group(system)
-        paras = all_parabolics(table)
+        paras = table.parabolics()
         for i, (p1, m1) in enumerate(paras):
             for p2, m2 in paras[i + 1:]:
                 if m1 <= m2 or m2 <= m1:
@@ -378,7 +378,7 @@ def suite_rank_drop(seed: int = 0) -> SuiteResult:
 
 def suite_parabolic_closure(seed: int = 0, samples: int = 200) -> SuiteResult:
     """Scanning closure equals the brute-force closure (with its minimal-rank
-    uniqueness assertions) on random query sets in every finite corpus group."""
+    uniqueness checks) on random query sets in every finite corpus group."""
     start = time.monotonic()
     checks, failures = 0, []
     for gi, name in enumerate(sorted(EXPECTED_ORDERS)):
@@ -390,7 +390,11 @@ def suite_parabolic_closure(seed: int = 0, samples: int = 200) -> SuiteResult:
             elements = [table.elements[rng.randrange(table.order)] for _ in range(k)]
             checks += 1
             result = pc(ClosureQuery(elements, 64))
-            oracle_p, oracle_m = pc_oracle_finite(elements)
+            try:
+                oracle_p, oracle_m = brute_pc(table, elements)
+            except NotAParabolic as exc:
+                failures.append(f"{name} case {case}: oracle: {exc}")
+                continue
             ok = (result.status is ClosureStatus.EXACT
                   and table.subgroup_elements(result.closure) == oracle_m
                   and result.closure.equals(oracle_p)

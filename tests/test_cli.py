@@ -137,6 +137,19 @@ def test_decimal_rejected_as_usage_error(capsys):
     assert "decimal" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("pc", "a2", "s", "--radius", "-1"),
+    ("roots", "a2", "--depth", "-3"),
+    ("oracle-compare", "a2", "--samples", "-5"),
+    ("roots", "a2", "--depth", "\u00b2"),
+])
+def test_bad_count_rejected_as_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
+
+
 def test_unknown_group_is_usage_error(capsys):
     code, _, err = run(capsys, "length", "nope", "s")
     assert code == 2

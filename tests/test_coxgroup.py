@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coxkit import corpus
-from coxkit.coxgroup import (build_system, inv, length, mult, normalize,
-                             order_of_product, parse_group_file,
+from coxkit.coxgroup import (build_system, order_of_product, parse_group_file,
                              serialize_group)
-from coxkit.errors import (InvalidMatrix, MixedSystems, UnknownGenerator)
+from coxkit.errors import (InvalidMatrix, InvariantViolation, MixedSystems,
+                           UnknownGenerator)
+from coxkit.oracle import enumerate_group
 from coxkit.scalar import INFINITY
 
 from groupmodels import MODELS
@@ -91,9 +92,9 @@ def test_four_letter_word_reduces(a2):
 
 def test_mult_inv_length(a2):
     s, t = a2.generators
-    assert mult(s, s).is_identity
-    assert inv(a2.element("s t")) == a2.element("t s")
-    assert length(a2.element("s t s")) == 3
+    assert (s * s).is_identity
+    assert a2.element("s t").inverse() == a2.element("t s")
+    assert a2.element("s t s").length == 3
 
 
 def test_unknown_label(a2):
@@ -122,6 +123,16 @@ def test_order_of_product_examples(a2, b2, dinf):
     assert order_of_product(dinf, 0, 1) == INFINITY
 
 
+@pytest.mark.parametrize("label", [2, 4, INFINITY])
+def test_order_of_product_rejects_tampered_label(label):
+    # the order comes from the generator matrices, so a label that no longer
+    # matches them raises a typed error (not an assert, so also under -O)
+    system = build_system(((1, 3), (3, 1)))
+    system.matrix = ((1, label), (label, 1))
+    with pytest.raises(InvariantViolation):
+        order_of_product(system, 0, 1)
+
+
 # -- group files ---------------------------------------------------------------
 
 
@@ -139,6 +150,11 @@ def test_group_file_rejects_malformed():
         parse_group_file("rank 2\nlabels s t\n1 3\n")
     with pytest.raises(InvalidMatrix):
         parse_group_file("")
+    # Unicode digits pass str.isdigit but not int()
+    with pytest.raises(InvalidMatrix):
+        parse_group_file("rank \u00b2\nlabels s t\n1 3\n3 1\n")
+    with pytest.raises(InvalidMatrix):
+        parse_group_file("rank 2\nlabels s t\n\u00b9 3\n3 1\n")
 
 
 # -- agreement with concrete models ---------------------------------------------
@@ -149,7 +165,7 @@ def test_lengths_match_model(name):
     system = corpus.load(name)
     model = MODELS[name]()
     dist = model.bfs_lengths()
-    elements = system.enumerate_elements(1000)
+    elements = enumerate_group(system, 1000).elements
     assert len(elements) == len(dist)
     seen = {}
     for g in elements:

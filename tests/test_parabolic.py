@@ -1,8 +1,8 @@
 import pytest
 
-from coxkit import corpus, parabolic
+from coxkit import corpus
 from coxkit.errors import MixedSystems, RetryCapExceeded
-from coxkit.oracle import brute_intersect, enumerate_group
+from coxkit.oracle import enumerate_group
 from coxkit.parabolic import (conjugacy_normalize, intersect, make)
 
 
@@ -50,12 +50,15 @@ def test_membership_negative(a2):
     assert not P.contains_element(a2.generator(1))
 
 
-def test_membership_cross_checked_against_words(a2, monkeypatch):
-    monkeypatch.setattr(parabolic, "CROSS_CHECK_MEMBERSHIP", True)
-    table = enumerate_group(a2)
-    P = make(a2.generator(0), frozenset({1}))
-    members = {g for g in table.elements if P.contains_element(g)}
-    assert members == {a2.identity, a2.element("s t s")}
+def test_membership_cross_checked_against_words(a3):
+    # reference: g lies in rep W_I rep^{-1} iff the canonical word of
+    # rep^{-1} g rep uses only letters of I
+    table = enumerate_group(a3)
+    for P, members in table.parabolics():
+        rep_inv = P.rep.inverse()
+        for i, g in enumerate(table.elements):
+            by_words = set((rep_inv * g * P.rep).word) <= P.gens
+            assert P.contains_element(g) == by_words == (i in members)
 
 
 def test_membership_mixed_systems(a2, b2):
@@ -119,7 +122,7 @@ def test_intersection_matches_brute_force(a3):
     for p, mp in paras:
         for q, mq in paras:
             got = table.subgroup_elements(intersect(p, q))
-            assert got == brute_intersect(mp, mq)
+            assert got == mp & mq
 
 
 def test_retry_cap_surfaces(a3):

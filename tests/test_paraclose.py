@@ -2,8 +2,7 @@ import pytest
 
 from coxkit.errors import MixedSystems
 from coxkit.oracle import brute_pc, enumerate_group
-from coxkit.paraclose import (ClosureQuery, ClosureStatus, is_finite, pc,
-                              pc_oracle_finite)
+from coxkit.paraclose import ClosureQuery, ClosureStatus, pc
 from coxkit.parabolic import make
 
 
@@ -69,7 +68,7 @@ def test_matches_brute_force_oracle(b2):
     table = enumerate_group(b2)
     for g in table.elements:
         res = pc(ClosureQuery([g], 16))
-        oracle_p, oracle_m = pc_oracle_finite([g])
+        oracle_p, oracle_m = brute_pc(table, [g])
         assert res.closure.equals(oracle_p)
         assert table.subgroup_elements(res.closure) == oracle_m
 
@@ -81,10 +80,3 @@ def test_brute_pc_examples(a2):
     assert names == {"e", "s t s"}
     _, trivial = brute_pc(table, [a2.identity])
     assert trivial == frozenset({table.element_index(a2.identity)})
-
-
-def test_is_finite(a2, b3, dinf):
-    assert is_finite(a2, 100) == (True, 6)
-    assert is_finite(b3, 100) == (True, 48)
-    finite, _ = is_finite(dinf, 10000)
-    assert not finite

@@ -64,7 +64,7 @@ def test_quadratic_minpolys(rows, L, minpoly):
 def test_minpoly_vanishes_at_theta():
     for rows in (A2, B2, G2, B3, H3, RIGHT_ANGLES):
         ctx = field_for(*rows)
-        assert ctx.evaluate_minpoly_at_theta().is_zero()
+        assert ctx.evaluate_int_poly(ctx.minpoly).is_zero()
 
 
 def test_h3_minpoly_matches_sympy():
@@ -160,6 +160,18 @@ def test_division():
     assert (ctx.one / theta) * theta == ctx.one
     with pytest.raises(DivisionByZero):
         ctx.one / ctx.zero
+
+
+def test_hash_agrees_with_equality():
+    ctx = field_for(*H3)
+    three = ctx.from_rational(3)
+    assert three == 3 and 3 in {three} and three in {3}
+    half = ctx.from_rational(Fraction(1, 2))
+    assert half == Fraction(1, 2) and Fraction(1, 2) in {half}
+    assert {three: "x"}[3] == "x"
+    theta = ctx.theta
+    assert theta in {ctx.scalar([0, 1])}
+    assert theta not in {ctx.one}
 
 
 def test_mixed_fields_rejected():
