@@ -18,8 +18,8 @@ class IncompatibleOrder(CoxeterError):
     """cos(pi/m) is not representable in this field (finite m not dividing L)."""
 
 
-class DivisionByZero(CoxeterError, ZeroDivisionError):
-    """Division by the zero scalar."""
+class InvalidQuery(CoxeterError, ValueError):
+    """A query's arguments are out of range (no elements, negative radius)."""
 
 
 class MixedFields(CoxeterError):

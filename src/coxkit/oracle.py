@@ -18,19 +18,24 @@ from .errors import GroupNotFinite, MixedSystems, NotAParabolic
 from .parabolic import Parabolic, make
 
 
+def _check_cap(count: int, cap: int) -> None:
+    if count > cap:
+        raise GroupNotFinite(f"more than {cap} elements enumerated")
+
+
 class FiniteGroupTable:
     """Element list and multiplication structure of a finite Coxeter group."""
 
     def __init__(self, system: CoxeterSystem, cap: int = 200000):
         self.system = system
-        # all elements in (length, word) order, from the engine's one BFS
-        horizon = 0
-        layers, closed = system.elements_up_to(horizon)
+        # all elements in (length, word) order, from the engine's one BFS;
+        # the BFS may already be closed by an earlier call, so the cap is
+        # checked on every layer set, the closed one included
+        horizon, closed = 0, False
         while not closed:
-            if sum(len(layer) for layer in layers) > cap:
-                raise GroupNotFinite(f"more than {cap} elements enumerated")
-            horizon += 1
             layers, closed = system.elements_up_to(horizon)
+            _check_cap(sum(len(layer) for layer in layers), cap)
+            horizon += 1
         self.elements: list[GroupElement] = [g for layer in layers for g in layer]
         self.index: dict[GroupElement, int] = {
             g: i for i, g in enumerate(self.elements)}
@@ -120,6 +125,7 @@ def enumerate_group(system: CoxeterSystem, cap: int = 200000) -> FiniteGroupTabl
     """Enumerate a finite group; raises GroupNotFinite past the cap."""
     cached = getattr(system, "_oracle_table", None)
     if cached is not None:
+        _check_cap(cached.order, cap)
         return cached
     table = FiniteGroupTable(system, cap)
     system._oracle_table = table

@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import combinations
 
 from .coxgroup import CoxeterSystem
-from .errors import InvariantViolation, MixedSystems
+from .errors import InvalidQuery, InvariantViolation, MixedSystems
 from .parabolic import Parabolic, intersect, make
 from .titscone import fundamental_point
 
@@ -34,13 +34,13 @@ class ClosureQuery:
     def __init__(self, elements, radius: int):
         elements = tuple(elements)
         if not elements:
-            raise ValueError("closure query needs at least one element")
+            raise InvalidQuery("closure query needs at least one element")
         system = elements[0].system
         for g in elements:
             if g.system is not system:
                 raise MixedSystems("query elements belong to different systems")
         if radius < 0:
-            raise ValueError("radius must be nonnegative")
+            raise InvalidQuery("radius must be nonnegative")
         self.elements = elements
         self.radius = radius
 

@@ -5,11 +5,18 @@ exactly.  Taking L = lcm of those labels, every such cosine lives in the
 field generated by theta = 2*cos(pi/L), because 2*cos(pi/m) = D_{L/m}(theta)
 where D_k is the integer polynomial with D_k(2*cos x) = 2*cos(k*x).
 
+The minimal polynomial of theta comes in closed form, with integer arithmetic
+only: the cyclotomic polynomial Phi_{2L}(z), obtained by exact division of
+z^{2L} - 1 by Phi_d for every proper divisor d of 2L, is palindromic, and
+folding it with z^k + z^-k = D_k(z + 1/z) gives a polynomial in
+theta = z + 1/z for z = exp(i*pi/L).  Nothing is factored.
+
 Scalars are stored as coefficient vectors over Fraction, reduced modulo the
-minimal polynomial of theta, so equality is coefficient equality.  Signs are
-decided exactly: the scalar's polynomial is evaluated with rational interval
-arithmetic on a shrinking isolating interval for theta.  Floating point is
-never consulted.
+minimal polynomial of theta, so equality is coefficient equality.  The ring
+operations are addition, subtraction and multiplication; there is no
+division.  Signs are decided exactly: the scalar's polynomial is evaluated
+with rational interval arithmetic on a shrinking isolating interval for
+theta.  Floating point is never consulted.
 """
 
 from __future__ import annotations
@@ -17,16 +24,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import sympy
-
-from .errors import (DivisionByZero, IncompatibleOrder, InvalidMatrix,
+from .errors import (DimensionMismatch, IncompatibleOrder, InvalidMatrix,
                      InvariantViolation, MixedFields)
 
 INFINITY = math.inf  # Coxeter matrix entry for an unbounded product order
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-_F2 = Fraction(2)
+_HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -161,51 +166,71 @@ def _cosine_order_lcm(matrix) -> int:
 # field construction
 
 
-def _factor_integer_poly(coeffs: list[int]) -> list[list[Fraction]]:
-    """Distinct monic irreducible factors over Q, via sympy's factorization."""
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(coeffs)), x, domain="QQ")
-    factors = []
-    for fac, _mult in poly.factor_list()[1]:
-        cs = [Fraction(c.p, c.q) for c in reversed(fac.monic().all_coeffs())]
-        factors.append(cs)
-    return factors
+def _divide_monic(p: list[int], q: list[int]) -> list[int]:
+    """Quotient of the integer polynomial p by the monic q, which divides it."""
+    p = list(p)
+    quot = [0] * (len(p) - len(q) + 1)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = p[k + len(q) - 1]
+        for i, b in enumerate(q):
+            p[k + i] -= c * b
+    if any(p):
+        raise InvariantViolation("cyclotomic division left a remainder")
+    return quot
 
 
-def _pick_sample(polys, lo: Fraction, hi: Fraction) -> Fraction:
-    """A point strictly inside (lo, hi) at which no listed polynomial vanishes."""
-    den = 4
-    while True:
-        for num in range(1, den):
-            if math.gcd(num, den) != 1:
-                continue
-            x = lo + (hi - lo) * Fraction(num, den)
-            if all(_poly_eval(p, x) for p in polys):
-                return x
-        den *= 2
+def _cyclotomic(n: int) -> list[int]:
+    """Integer coefficients of Phi_n: z^d - 1 divided exactly by Phi_e for
+    every proper divisor e of d, for each divisor d of n in increasing order."""
+    phi: dict[int, list[int]] = {}
+    for d in range(1, n + 1):
+        if n % d == 0:
+            p = [-1] + [0] * (d - 1) + [1]
+            for e, q in phi.items():
+                if d % e == 0:
+                    p = _divide_monic(p, q)
+            phi[d] = p
+    return phi[n]
 
 
-def _isolate_largest_root(factors) -> tuple[list[Fraction], tuple[Fraction, Fraction]]:
-    """Among all real roots of the given squarefree polynomials, isolate the
-    largest one; return its factor and an isolating interval.
+def _theta_minpoly(L: int) -> list[int]:
+    """Integer minimal polynomial of theta = 2*cos(pi/L), monic, in closed
+    form (Watkins and Zeitlin, Amer. Math. Monthly 100, 1993).
 
-    Exact throughout: root counting by Sturm chains, bisection points chosen
-    away from roots.  Used with the factors of D_L + 2, whose largest real
-    root is exactly 2*cos(pi/L).
+    theta = z + 1/z for z = exp(i*pi/L), a root of Phi_{2L}.  For L >= 2 that
+    polynomial is palindromic of degree 2m, so z^-m * Phi_{2L}(z) = c_m + the
+    sum over k of c_{m+k} * (z^k + z^-k), and z^k + z^-k = D_k(theta).
+    L = 1 gives theta = -2.
     """
-    chains = [(f, _sturm_chain(f)) for f in factors]
-    lo, hi = Fraction(-3), Fraction(3)  # all roots of D_L + 2 lie in [-2, 2]
-    while True:
-        live = [(f, _count_roots(ch, lo, hi)) for f, ch in chains]
-        live = [(f, c) for f, c in live if c > 0]
-        if len(live) == 1 and live[0][1] == 1:
-            return live[0][0], (lo, hi)
-        mid = _pick_sample(factors, lo, hi)
-        in_top = sum(_count_roots(ch, mid, hi) for _, ch in chains)
-        if in_top >= 1:
+    if L == 1:
+        return [2, 1]
+    phi = _cyclotomic(2 * L)
+    m = len(phi) // 2
+    poly = [phi[m]] + [0] * m
+    for k in range(1, m + 1):
+        for i, c in enumerate(double_cosine_poly(k)):
+            poly[i] += phi[m + k] * c
+    return poly
+
+
+def _isolate_largest_root(p) -> tuple[Fraction, Fraction]:
+    """An isolating interval for the largest real root of the squarefree p.
+
+    Exact throughout: Sturm-chain root counts on a bisection whose midpoints
+    are never roots, since p is irreducible of degree >= 2 whenever it
+    bisects at all.
+    """
+    chain = _sturm_chain(p)
+    lo, hi = Fraction(-3), Fraction(3)  # every 2*cos(k*pi/L) lies in [-2, 2]
+    while _count_roots(chain, lo, hi) > 1:
+        mid = (lo + hi) / 2
+        if not _poly_eval(p, mid):
+            raise InvariantViolation("minimal polynomial has a rational root")
+        if _count_roots(chain, mid, hi):
             lo = mid
         else:
             hi = mid
+    return lo, hi
 
 
 def _totient(n: int) -> int:
@@ -276,7 +301,7 @@ class FieldContext:
     def scalar(self, coeffs) -> "FieldScalar":
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > self.degree:
-            raise ValueError("coefficient vector longer than the field degree")
+            raise DimensionMismatch("coefficient vector longer than the field degree")
         cs += [_F0] * (self.degree - len(cs))
         return FieldScalar(self, tuple(cs))
 
@@ -294,7 +319,7 @@ class FieldContext:
         vmid = _poly_eval(self.minpoly, mid)
         if not vmid:
             # only possible for a degree-1 field, where signs never need this
-            raise ArithmeticError("bisection point hit the root exactly")
+            raise InvariantViolation("bisection point hit the root exactly")
         vlo = _poly_eval(self.minpoly, lo)
         if (vlo < 0) != (vmid < 0):
             self._iso = (lo, mid)
@@ -375,64 +400,6 @@ class FieldScalar:
         return FieldScalar(self.ctx, tuple(res))
 
     __rmul__ = __mul__
-
-    def _inverse(self) -> "FieldScalar":
-        if self.is_zero():
-            raise DivisionByZero("scalar has no inverse")
-        ctx = self.ctx
-        if not any(self.coeffs[1:]):
-            inv = 1 / self.coeffs[0]
-            return FieldScalar(ctx, (inv,) + (_F0,) * (ctx.degree - 1))
-        # extended Euclid against the minimal polynomial: u*a + v*m = gcd = const
-        a = _strip(list(self.coeffs))
-        m = list(ctx.minpoly)
-        r0, r1 = m, a
-        u0, u1 = [], [_F1]
-        while True:
-            # divide r0 by r1
-            q = [_F0] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            while len(rem) >= len(r1) and _strip(rem):
-                k = len(rem) - len(r1)
-                c = rem[-1] / r1[-1]
-                q[k] = c
-                for i, b in enumerate(r1):
-                    rem[k + i] -= c * b
-                _strip(rem)
-            # u_next = u0 - q*u1
-            qu = [_F0] * (len(q) + len(u1))
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, uj in enumerate(u1):
-                        qu[i + j] += qi * uj
-            nxt = [_F0] * max(len(u0), len(qu))
-            for i, c in enumerate(u0):
-                nxt[i] += c
-            for i, c in enumerate(qu):
-                nxt[i] -= c
-            _strip(nxt)
-            r0, r1, u0, u1 = r1, rem, u1, nxt
-            if not r1:
-                break
-        # r0 is now the gcd, a nonzero constant since minpoly is irreducible
-        if len(r0) != 1:
-            raise InvariantViolation("minimal polynomial must be irreducible")
-        g = r0[0]
-        inv = [c / g for c in u0]
-        inv += [_F0] * (ctx.degree - len(inv))
-        return FieldScalar(ctx, tuple(inv[:ctx.degree]))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o._inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self._inverse()
 
     # -- predicates and order -----------------------------------------------
 
@@ -547,18 +514,14 @@ def build_field(coxeter_matrix) -> FieldContext:
     """Field context for the given Coxeter matrix.
 
     L is the lcm of the finite labels >= 3 (L = 1 when there are none).  The
-    minimal polynomial of theta = 2*cos(pi/L) is selected among the rational
-    irreducible factors of D_L + 2 as the one whose largest real root the
-    Sturm-count bisection isolates; theta is the largest real root of D_L + 2
-    because its roots are 2*cos((2k+1)*pi/L).
+    minimal polynomial of theta = 2*cos(pi/L) is the cyclotomic polynomial
+    Phi_{2L} folded into x = z + 1/z, built with integer arithmetic only;
+    theta is its largest real root, isolated by Sturm-count bisection.
     """
     matrix = validate_matrix(coxeter_matrix)
     L = _cosine_order_lcm(matrix)
-    target = double_cosine_poly(L)
-    target[0] += 2
-    factors = _factor_integer_poly(target)
-    minpoly, iso = _isolate_largest_root(factors)
-    ctx = FieldContext(L, tuple(minpoly), iso)
+    minpoly = tuple(Fraction(c) for c in _theta_minpoly(L))
+    ctx = FieldContext(L, minpoly, _isolate_largest_root(minpoly))
     expected = _totient(2 * L) // 2 if L >= 3 else 1
     if ctx.degree != expected:
         raise InvariantViolation("minimal polynomial has unexpected degree")
@@ -585,6 +548,6 @@ def cos_pi_over(ctx: FieldContext, m) -> FieldScalar:
         if ctx.L % m != 0:
             raise IncompatibleOrder(
                 f"cos(pi/{m}) does not lie in the field for L = {ctx.L}")
-        value = ctx.evaluate_int_poly(double_cosine_poly(ctx.L // m)) / 2
+        value = ctx.evaluate_int_poly(double_cosine_poly(ctx.L // m)) * _HALF
     ctx._cos_cache[m] = value
     return value

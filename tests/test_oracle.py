@@ -7,7 +7,7 @@ import coxkit
 from coxkit import corpus
 from coxkit.coxgroup import build_system
 from coxkit.errors import GroupNotFinite, MixedSystems
-from coxkit.oracle import brute_pc, enumerate_group
+from coxkit.oracle import FiniteGroupTable, brute_pc, enumerate_group
 
 ENGINE_MODULES = ("scalar", "coxgroup", "roots", "titscone", "parabolic",
                   "paraclose")
@@ -21,6 +21,15 @@ def test_orders():
 def test_infinite_group_raises(dinf):
     with pytest.raises(GroupNotFinite):
         enumerate_group(dinf, cap=300)
+
+
+def test_cached_table_respects_cap():
+    h3 = corpus.load("h3")
+    assert enumerate_group(h3).order == 120
+    with pytest.raises(GroupNotFinite):
+        enumerate_group(h3, cap=10)
+    with pytest.raises(GroupNotFinite):
+        FiniteGroupTable(h3, cap=10)  # the engine's BFS is already closed
 
 
 def test_multiplication_table_matches_engine(b2):

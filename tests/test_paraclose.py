@@ -1,16 +1,18 @@
 import pytest
 
-from coxkit.errors import MixedSystems
+from coxkit.errors import CoxeterError, MixedSystems
 from coxkit.oracle import brute_pc, enumerate_group
 from coxkit.paraclose import ClosureQuery, ClosureStatus, pc
 from coxkit.parabolic import make
 
 
 def test_query_validation(a2, b2):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as empty:
         ClosureQuery([], 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as negative:
         ClosureQuery([a2.identity], -1)
+    assert isinstance(empty.value, CoxeterError)
+    assert isinstance(negative.value, CoxeterError)
     with pytest.raises(MixedSystems):
         ClosureQuery([a2.identity, b2.identity], 5)
 
