@@ -70,6 +70,9 @@ class CoxeterSystem:
         self.identity = self._element(())
         self._bfs_layers: list[list[GroupElement]] = [[self.identity]]
         self._bfs_closed = False
+        # tables derived from the system by other modules, built on first use:
+        # closure candidates by radius (paraclose), the element table (oracle)
+        self.cache = {"closure_candidates": {}, "oracle_table": None}
 
     # -- construction checks -------------------------------------------------
 

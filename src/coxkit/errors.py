@@ -22,6 +22,10 @@ class InvalidQuery(CoxeterError, ValueError):
     """A query's arguments are out of range (no elements, negative radius)."""
 
 
+class IrrationalScalar(CoxeterError, ValueError):
+    """A rational value was asked of a scalar that is not rational."""
+
+
 class MixedFields(CoxeterError):
     """Arithmetic between scalars of different field contexts."""
 

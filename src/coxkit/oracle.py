@@ -123,12 +123,11 @@ class FiniteGroupTable:
 
 def enumerate_group(system: CoxeterSystem, cap: int = 200000) -> FiniteGroupTable:
     """Enumerate a finite group; raises GroupNotFinite past the cap."""
-    cached = getattr(system, "_oracle_table", None)
+    cached = system.cache["oracle_table"]
     if cached is not None:
         _check_cap(cached.order, cap)
         return cached
-    table = FiniteGroupTable(system, cap)
-    system._oracle_table = table
+    table = system.cache["oracle_table"] = FiniteGroupTable(system, cap)
     return table
 
 

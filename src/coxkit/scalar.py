@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .errors import (DimensionMismatch, IncompatibleOrder, InvalidMatrix,
-                     InvariantViolation, MixedFields)
+                     InvariantViolation, IrrationalScalar, MixedFields)
 
 INFINITY = math.inf  # Coxeter matrix entry for an unbounded product order
 
@@ -411,7 +411,7 @@ class FieldScalar:
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError("scalar is irrational")
+            raise IrrationalScalar("scalar is irrational")
         return self.coeffs[0]
 
     def sign(self) -> int:

@@ -18,7 +18,7 @@ from .coxgroup import _first_sign, order_of_product
 from .errors import InvariantViolation, NotAParabolic, RetryCapExceeded
 from .oracle import brute_pc, enumerate_group
 from .parabolic import conjugacy_normalize, intersect, make
-from .paraclose import ClosureQuery, ClosureStatus, pc
+from .paraclose import ClosureQuery, ClosureStatus, pc, scan_closure
 from .roots import descend_root, reflection_of_root, root_depths
 from .scalar import FieldContext, double_cosine_poly
 from .titscone import fundamental_point, locate, stabilizer
@@ -406,7 +406,8 @@ def suite_parabolic_closure(seed: int = 0, samples: int = 200) -> SuiteResult:
 
 def suite_infinite_closure(seed: int = 0) -> SuiteResult:
     """Closure in the infinite dihedral group: a rotation closes up to the
-    whole group with a short audit trail, a reflection to itself."""
+    whole group with a short audit trail, a reflection to itself, certified
+    exact."""
     start = time.monotonic()
     checks, failures = 0, []
     system = corpus.load("dihedral_inf")
@@ -420,9 +421,54 @@ def suite_infinite_closure(seed: int = 0) -> SuiteResult:
     reflection = pc(ClosureQuery([system.element("s")], 6))
     checks += 1
     if not (reflection.closure.equals(make(system.identity, frozenset({0})))
-            and reflection.status is ClosureStatus.RADIUS_LIMITED):
+            and reflection.status is ClosureStatus.EXACT):
         failures.append(f"reflection closure wrong: {reflection!r}")
     return SuiteResult("infinite-closure", checks, failures,
+                       time.monotonic() - start)
+
+
+def suite_certified_closure(seed: int = 0, samples: int = 8) -> SuiteResult:
+    """In every infinite corpus group, on seeded queries of 1-3 elements:
+    each closure pc certifies as exact contains the query and lies inside
+    the closure found by the candidate scan alone at radius 12.  Half of the
+    queries are random words; the other half lie in a random conjugate
+    w W_J w^{-1}, so that closures of every rank occur.  Each group must
+    yield at least one exact closure."""
+    start = time.monotonic()
+    checks, failures = 0, []
+    for gi, name in enumerate(corpus.INFINITE_NAMES):
+        system = corpus.load(name)
+        rng = random.Random(seed + 17 * gi)
+        n = system.rank
+        exact = 0
+        for case in range(samples):
+            if case % 2:
+                letters = sorted(s for s in range(n) if rng.random() < 0.5) or [0]
+                w = system.normalize([rng.randrange(n) for _ in range(rng.randint(0, 3))])
+                winv = w.inverse()
+                elements = [w * system.normalize([rng.choice(letters) for _ in
+                                                  range(rng.randint(1, 4))]) * winv
+                            for _ in range(rng.randint(1, 3))]
+            else:
+                elements = [system.normalize([rng.randrange(n) for _ in
+                                              range(rng.randint(1, 6))])
+                            for _ in range(rng.randint(1, 3))]
+            result = pc(ClosureQuery(elements, 8))
+            if result.status is not ClosureStatus.EXACT:
+                continue
+            exact += 1
+            checks += 1
+            scanned = scan_closure(ClosureQuery(elements, 12)).closure
+            if not (all(result.closure.contains_element(g) for g in elements)
+                    and scanned.contains(result.closure)):
+                words = ", ".join(str(g) for g in elements)
+                failures.append(f"{name} case {case} [{words}]: exact closure "
+                                f"{result.closure.describe()} not inside the "
+                                f"scan result {scanned.describe()}")
+        checks += 1
+        if not exact:
+            failures.append(f"{name}: no query was certified exact")
+    return SuiteResult("certified-closure", checks, failures,
                        time.monotonic() - start)
 
 
@@ -468,6 +514,7 @@ SUITES = {
     "rank-drop": suite_rank_drop,
     "parabolic-closure": suite_parabolic_closure,
     "infinite-closure": suite_infinite_closure,
+    "certified-closure": suite_certified_closure,
     "cone-stabilizers": suite_cone_stabilizers,
 }
 

@@ -37,6 +37,13 @@ def test_pc_golden(capsys):
                                 "rank: 1", "status: Exact", "refinements: 1"]
 
 
+def test_pc_certified_golden(capsys):
+    code, out, _ = run(capsys, "pc", "hyperbolic_334", "a b c", "--radius", "12")
+    assert code == 0
+    assert out.splitlines() == ["representative: e", "generators: {a, b, c}",
+                                "rank: 3", "status: Exact", "refinements: 0"]
+
+
 def test_roots_golden(capsys):
     code, out, _ = run(capsys, "roots", "a2", "--depth", "8")
     lines = out.splitlines()

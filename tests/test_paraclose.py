@@ -1,8 +1,11 @@
 import pytest
 
-from coxkit.errors import CoxeterError, MixedSystems
+from coxkit import corpus, paraclose
+from coxkit.coxgroup import build_system
+from coxkit.errors import CoxeterError, InvariantViolation, MixedSystems
 from coxkit.oracle import brute_pc, enumerate_group
-from coxkit.paraclose import ClosureQuery, ClosureStatus, pc
+from coxkit.paraclose import (ClosureQuery, ClosureStatus, _fixed_space, pc,
+                              scan_closure)
 from coxkit.parabolic import make
 
 
@@ -55,7 +58,50 @@ def test_rotation_in_infinite_dihedral(dinf):
 def test_reflection_in_infinite_dihedral(dinf):
     res = pc(ClosureQuery([dinf.element("s")], 6))
     assert res.closure.equals(make(dinf.identity, frozenset({0})))
+    assert res.status is ClosureStatus.EXACT
+
+
+def test_scan_alone_stays_radius_limited(dinf):
+    res = scan_closure(ClosureQuery([dinf.element("s")], 6))
+    assert res.closure.equals(make(dinf.identity, frozenset({0})))
     assert res.status is ClosureStatus.RADIUS_LIMITED
+
+
+def test_trivial_fixed_space_certifies_the_whole_group_without_a_scan():
+    # a fresh system, so that no other test has filled its candidate cache
+    W = build_system(corpus.load("hyperbolic_334").matrix, "abc")
+    res = pc(ClosureQuery([W.element("a b c")], 12))
+    assert res.closure.describe() == "(e, {a, b, c})"
+    assert res.status is ClosureStatus.EXACT
+    assert res.refinements == ()
+    assert W.cache["closure_candidates"] == {}
+
+
+def test_certified_closure_in_affine_group():
+    W = corpus.load("affine_a2")
+    res = pc(ClosureQuery([W.element("a b")], 10))
+    assert res.closure.describe() == "(e, {a, b})"
+    assert res.status is ClosureStatus.EXACT
+    assert len(res.refinements) == 1
+
+
+def test_fixed_space_dimension_is_corank_of_closure(b3):
+    # for a finite group, Fix(X) = Fix(Pc(X)) has dimension n - rank Pc(X)
+    table = enumerate_group(b3)
+    for g in table.elements:
+        basis = _fixed_space([g])
+        oracle_p, _ = brute_pc(table, [g])
+        assert len(basis) == b3.rank - oracle_p.rank
+        for v in basis:
+            assert g.fixes_dual_coords(v)
+            assert any(v)
+
+
+def test_certificate_disagreeing_with_the_scan_raises(a3, monkeypatch):
+    wrong = make(a3.identity, frozenset({0}))
+    monkeypatch.setattr(paraclose, "_certify", lambda system, basis, cap: wrong)
+    with pytest.raises(InvariantViolation):
+        pc(ClosureQuery([a3.generator(2)], 8))
 
 
 def test_refinement_audit_records_actual_refinements(a2):

@@ -10,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import coxkit
-from coxkit.errors import (DimensionMismatch, IncompatibleOrder, InvalidMatrix,
-                           MixedFields)
+from coxkit import corpus
+from coxkit.errors import (CoxeterError, DimensionMismatch, IncompatibleOrder,
+                           InvalidMatrix, IrrationalScalar, MixedFields)
 from coxkit.scalar import (INFINITY, build_field, cos_pi_over,
                            double_cosine_poly, validate_matrix)
 
@@ -187,6 +188,15 @@ def test_overlong_coefficient_vector_rejected():
     ctx = field_for(*G2)  # degree 2
     with pytest.raises(DimensionMismatch):
         ctx.scalar([1, 2, 3])
+
+
+def test_as_fraction_of_irrational_scalar_is_a_typed_error():
+    field = corpus.load("b3").field
+    assert field.from_rational(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
+    with pytest.raises(IrrationalScalar) as info:
+        field.theta.as_fraction()
+    assert isinstance(info.value, CoxeterError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_hash_agrees_with_equality():
