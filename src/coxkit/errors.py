@@ -19,7 +19,8 @@ class IncompatibleOrder(CoxeterError):
 
 
 class InvalidQuery(CoxeterError, ValueError):
-    """A query's arguments are out of range (no elements, negative radius)."""
+    """A query's arguments are out of range (no elements, a negative radius
+    or step cap)."""
 
 
 class IrrationalScalar(CoxeterError, ValueError):
@@ -56,10 +57,6 @@ class SupportNotContained(CoxeterError):
 
 class StepCapExceeded(CoxeterError):
     """The point-location walk did not terminate within the step cap."""
-
-
-class RetryCapExceeded(CoxeterError):
-    """The intersection walk exhausted its segment parameters."""
 
 
 class GroupNotFinite(CoxeterError):

@@ -2,34 +2,30 @@
 
 A parabolic subgroup is stored as (rep, gens, base_point) where rep is the
 shortest element of the coset rep*W_I and base_point = rep(f_I) marks the
-face of the Tits cone whose stabilizer the subgroup is.  Membership,
-containment and equality therefore reduce to exact fixed-point tests, and
-intersection reduces to locating a generic point of the segment joining the
-two base points.
+face of the Tits cone whose stabilizer the subgroup is.  The subgroup is
+generated by the reflections in the roots rep(alpha_s), s in gens, the
+columns of rep's matrix.  Membership is an exact fixed-point test,
+containment and equality are exact pairings of those roots with a base
+point, and intersection is one walk restricted to W_I.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coxgroup import CoxeterSystem, GroupElement
-from .errors import MixedSystems, RetryCapExceeded
-from .titscone import DualPoint, fundamental_point, locate
-
-DEFAULT_RETRY_CAP = 64
+from .errors import MixedSystems
+from .titscone import DEFAULT_STEP_CAP, DualPoint, _walk, fundamental_point
 
 
 class Parabolic:
     """A conjugate w W_I w^{-1} of a standard parabolic subgroup."""
 
-    __slots__ = ("rep", "gens", "base_point", "_conjugated_gens")
+    __slots__ = ("rep", "gens", "base_point")
 
     def __init__(self, rep: GroupElement, gens: frozenset[int],
                  base_point: DualPoint):
         self.rep = rep
         self.gens = gens
         self.base_point = base_point
-        self._conjugated_gens = None
 
     @property
     def system(self) -> CoxeterSystem:
@@ -39,16 +35,6 @@ class Parabolic:
     def rank(self) -> int:
         return len(self.gens)
 
-    @property
-    def conjugated_generators(self) -> tuple[GroupElement, ...]:
-        """The generators rep * s * rep^{-1} for s in gens."""
-        if self._conjugated_gens is None:
-            w = self.rep
-            winv = w.inverse()
-            self._conjugated_gens = tuple(
-                w * self.system.generator(s) * winv for s in sorted(self.gens))
-        return self._conjugated_gens
-
     def contains_element(self, g: GroupElement) -> bool:
         """Membership: g lies in the subgroup iff it fixes the base point."""
         if g.system is not self.system:
@@ -56,12 +42,15 @@ class Parabolic:
         return g.fixes_dual_coords(self.base_point.coords)
 
     def contains(self, other: "Parabolic") -> bool:
-        """Subgroup containment: the generators of other all fix our base
-        point (the stabilizer is a group, so this captures all of other)."""
+        """Subgroup containment: the reflections generating other all fix
+        our base point (the stabilizer is a group, so this captures all of
+        other).  The reflection in a root fixes a point iff the root pairs to
+        0 with it."""
         if other.system is not self.system:
             raise MixedSystems("subgroups belong to different systems")
-        return all(g.fixes_dual_coords(self.base_point.coords)
-                   for g in other.conjugated_generators)
+        M = other.rep.matrix
+        return all(self.base_point.pairing(tuple(row[s] for row in M)).is_zero()
+                   for s in other.gens)
 
     def equals(self, other: "Parabolic") -> bool:
         return self.contains(other) and other.contains(self)
@@ -88,48 +77,29 @@ def make(w: GroupElement, gens) -> Parabolic:
     return Parabolic(w, I, base)
 
 
-def _segment_parameters():
-    """Deterministic stream of rationals strictly inside (0, 1): fractions
-    k/p for increasing primes p, avoiding repeated values."""
-    p = 2
-    while True:
-        for k in range(1, p):
-            yield Fraction(k, p)
-        p += 1
-        while any(p % d == 0 for d in range(2, p)):
-            p += 1
-
-
-def intersect(p1: Parabolic, p2: Parabolic,
-              retry_cap: int = DEFAULT_RETRY_CAP) -> Parabolic:
+def intersect(p1: Parabolic, p2: Parabolic) -> Parabolic:
     """The intersection of two parabolic subgroups, again parabolic.
 
-    A generic point f of the open segment joining the base points has
-    stabilizer exactly the intersection; candidate points are taken at a
-    deterministic sequence of rational parameters, and a candidate stabilizer
-    is accepted iff each of its generators fixes both endpoints (it always
-    contains the intersection, so fixing both endpoints makes it equal).
+    With p1 = w W_I w^{-1}, the intersection is w (W_I & Stab(y)) w^{-1} for
+    the point y = w^{-1}(b2), b2 the base point of p2 (arXiv math/0512408).
+    The pairings of y are <b2, w(alpha_t)>, pairings with the columns of w's
+    matrix.  Walking y with the generators of I alone ends at a point
+    y' = u^{-1}(y), u in W_I, that pairs nonnegatively with alpha_s for every
+    s in I; its stabilizer in W_I is W_J, J the generators of I pairing to 0
+    with it (Humphreys 1990, 5.13, for W_I).  So the intersection is
+    (w u) W_J (w u)^{-1}.  The walk ends because y lies in the Tits cone:
+    only finitely many positive roots pair negatively with it, and each step
+    removes one.
     """
     if p1.system is not p2.system:
         raise MixedSystems("subgroups belong to different systems")
-    if p1.contains(p2):
-        return p2
-    if p2.contains(p1):
-        return p1
-    x1, x2 = p1.base_point, p2.base_point
-    trials = 0
-    for t in _segment_parameters():
-        if trials >= retry_cap:
-            break
-        trials += 1
-        loc = locate(x1.combine(x2, t))
-        candidate = make(loc.w, loc.gens)
-        gens = candidate.conjugated_generators
-        if all(g.fixes_dual_coords(x1.coords) for g in gens) and \
-           all(g.fixes_dual_coords(x2.coords) for g in gens):
-            return candidate
-    raise RetryCapExceeded(
-        f"no stabilizer on the segment was the intersection after {retry_cap} trials")
+    system = p1.system
+    M = p1.rep.matrix
+    y = DualPoint(system, tuple(p2.base_point.pairing(tuple(row[t] for row in M))
+                                for t in range(system.rank)))
+    letters, coords = _walk(y, sorted(p1.gens), DEFAULT_STEP_CAP)
+    J = frozenset(s for s in p1.gens if coords[s].is_zero())
+    return make(system.normalize(p1.rep.word + tuple(letters)), J)
 
 
 class ConjugacyWitness:

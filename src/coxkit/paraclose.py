@@ -115,10 +115,10 @@ def _candidates(system: CoxeterSystem, radius: int):
             for w in elements:
                 if w.right_descents & I:
                     continue
-                block.append((len(w.word), w.word, subset, w,
+                block.append((len(w.word), w.word, subset, I, w,
                               w.act_dual_coords(point.coords)))
         block.sort(key=lambda item: item[:3])
-        blocks.append(tuple((frozenset(item[2]), item[3], item[4]) for item in block))
+        blocks.append(tuple(item[3:] for item in block))
     result = (tuple(blocks), closed)
     cache[radius] = result
     return result
@@ -220,8 +220,7 @@ def pc(query: ClosureQuery) -> ClosureResult:
     if not basis:
         return ClosureResult(make(system.identity, frozenset(range(system.rank))),
                              ClosureStatus.EXACT, ())
-    # walks of at most `radius` steps, the bound the scan puts on w
-    certified = _certify(system, basis, query.radius + 1)
+    certified = _certify(system, basis, query.radius)
     if certified is None:
         return scan_closure(query)
     blocks, _ = _candidates(system, query.radius)

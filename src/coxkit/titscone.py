@@ -11,10 +11,8 @@ w W_I w^{-1}.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coxgroup import CoxeterSystem, GroupElement
-from .errors import DimensionMismatch, MixedSystems, StepCapExceeded
+from .errors import DimensionMismatch, InvalidQuery, MixedSystems, StepCapExceeded
 
 DEFAULT_STEP_CAP = 10000
 
@@ -39,14 +37,6 @@ class DualPoint:
         if w.system is not self.system:
             raise MixedSystems("element and point belong to different systems")
         return DualPoint(self.system, w.act_dual_coords(self.coords))
-
-    def combine(self, other: "DualPoint", t: Fraction) -> "DualPoint":
-        """The convex combination (1 - t) * self + t * other."""
-        if other.system is not self.system:
-            raise MixedSystems("points belong to different systems")
-        s = 1 - t
-        return DualPoint(self.system,
-                         tuple(a * s + b * t for a, b in zip(self.coords, other.coords)))
 
     def __eq__(self, other):
         if isinstance(other, DualPoint):
@@ -88,6 +78,31 @@ def fundamental_point(system: CoxeterSystem, gens) -> DualPoint:
                      tuple(zero if s in I else one for s in range(system.rank)))
 
 
+def _walk(f: DualPoint, gens, step_cap: int) -> tuple[list[int], tuple]:
+    """Walk f with the generators gens, given in increasing order: while some
+    of them pairs negatively with the point, apply the smallest such one.
+
+    Returns the letters applied, in order, and the final pairings.  The
+    walk never takes more than step_cap steps (StepCapExceeded); a negative
+    cap is an InvalidQuery.
+    """
+    if step_cap < 0:
+        raise InvalidQuery("step cap must be nonnegative")
+    system = f.system
+    coords = f.coords
+    letters = []
+    while True:
+        negative = next((s for s in gens if coords[s].sign() < 0), None)
+        if negative is None:
+            return letters, coords
+        if len(letters) == step_cap:
+            raise StepCapExceeded(
+                f"no dominant representative within {step_cap} steps; "
+                "the point may lie outside the Tits cone")
+        coords = system._apply_gen_dual(negative, coords)
+        letters.append(negative)
+
+
 def locate(f: DualPoint, step_cap: int = DEFAULT_STEP_CAP) -> CellLocation:
     """Find the cell of the Tits cone containing f.
 
@@ -98,23 +113,9 @@ def locate(f: DualPoint, step_cap: int = DEFAULT_STEP_CAP) -> CellLocation:
     step cap instead (StepCapExceeded).
     """
     system = f.system
-    coords = f.coords
-    letters = []
-    for _ in range(step_cap):
-        negative = None
-        for s, c in enumerate(coords):
-            if c.sign() < 0:
-                negative = s
-                break
-        if negative is None:
-            gens = frozenset(s for s, c in enumerate(coords) if c.is_zero())
-            w = system.normalize(letters)
-            return CellLocation(w, gens, DualPoint(system, coords))
-        coords = system._apply_gen_dual(negative, coords)
-        letters.append(negative)
-    raise StepCapExceeded(
-        f"no dominant representative within {step_cap} steps; "
-        "the point may lie outside the Tits cone")
+    letters, coords = _walk(f, range(system.rank), step_cap)
+    gens = frozenset(s for s, c in enumerate(coords) if c.is_zero())
+    return CellLocation(system.normalize(letters), gens, DualPoint(system, coords))
 
 
 def stabilizer(f: DualPoint, step_cap: int = DEFAULT_STEP_CAP):

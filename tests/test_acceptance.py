@@ -53,8 +53,7 @@ def test_criterion_05_subsystem_roots():
 
 def test_criterion_06_pairwise_intersection():
     """intersect agrees with literal set intersection on all pairs of
-    distinct parabolics of A3 and B3, with no retry-cap failures, within
-    120 seconds."""
+    distinct parabolics of A3 and B3, within 120 seconds."""
     _run("pairwise-intersection", budget=120.0)
 
 

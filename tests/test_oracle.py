@@ -121,3 +121,12 @@ def test_engine_never_imports_oracle_or_verify():
             parts = name.split(".")
             assert "oracle" not in parts and "verify" not in parts, \
                 f"{module}.py imports {name}"
+
+
+def test_no_assert_statements_in_the_package():
+    # an assert vanishes under python -O, so no guarantee may rest on one
+    package = Path(coxkit.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.relative_to(package)} has assert statements at lines {lines}"

@@ -1,7 +1,10 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from coxkit import corpus
-from coxkit.errors import MixedSystems, RetryCapExceeded
+from coxkit.errors import MixedSystems
 from coxkit.oracle import enumerate_group
 from coxkit.parabolic import (conjugacy_normalize, intersect, make)
 
@@ -125,11 +128,68 @@ def test_intersection_matches_brute_force(a3):
             assert got == mp & mq
 
 
-def test_retry_cap_surfaces(a3):
-    P = make(a3.identity, frozenset({0, 1}))
-    Q = make(a3.element("c"), frozenset({0, 1}))
-    with pytest.raises(RetryCapExceeded):
-        intersect(P, Q, retry_cap=0)
+INFINITE_GROUPS = ("dihedral_inf", "affine_a2", "hyperbolic_334")
+
+
+def seeded_pairs(system, seed, count=12):
+    """Pairs (P, Q) of parabolics of rank >= 1 (Q may have rank 0 when it
+    lies in P) with reps of length <= 5.  One pair in three has Q inside P,
+    as P.rep * u W_J u^-1 P.rep^-1 with u in W_I and J a subset of I, and
+    one in three is w W_I w^-1, w W_K w^-1 for two distinct subsets of n - 1
+    generators, which meet in n - 2."""
+    rng = random.Random(seed)
+    n = system.rank
+
+    def subset(pool, least):
+        pool = sorted(pool)
+        return frozenset(rng.sample(pool, rng.randint(least, len(pool))))
+
+    def word(pool, length):
+        return tuple(rng.choice(pool) for _ in range(length))
+
+    def random_parabolic():
+        return make(system.normalize(word(range(n), rng.randint(0, 5))),
+                    subset(range(n), 1))
+
+    pairs = []
+    for k in range(count):
+        P = random_parabolic()
+        if k % 3 == 1:
+            u = word(sorted(P.gens), rng.randint(0, 4))
+            Q = make(system.normalize(P.rep.word + u), subset(P.gens, 0))
+        elif k % 3 == 2:
+            I, K = rng.sample(list(combinations(range(n), n - 1)), 2)
+            P, Q = make(P.rep, I), make(P.rep, K)
+        else:
+            Q = random_parabolic()
+        pairs.append((P, Q))
+    return pairs
+
+
+@pytest.mark.parametrize("name", INFINITE_GROUPS)
+def test_intersection_in_infinite_groups(name):
+    # membership by fixed points is independent of the walk in intersect;
+    # seed 4 draws pairs for which a walk with generators outside I errs
+    system = corpus.load(name)
+    layers, _ = system.elements_up_to(6)
+    elements = [g for layer in layers for g in layer]
+    for P, Q in seeded_pairs(system, seed=4):
+        for A, B in ((P, Q), (Q, P)):
+            R = intersect(A, B)
+            for g in elements:
+                assert R.contains_element(g) == (
+                    A.contains_element(g) and B.contains_element(g)), (A, B, g)
+
+
+@pytest.mark.parametrize("name", INFINITE_GROUPS)
+def test_containment_by_roots_matches_generators(name):
+    system = corpus.load(name)
+    for P, Q in seeded_pairs(system, seed=7):
+        for A, B in ((P, Q), (Q, P)):
+            rep_inv = B.rep.inverse()
+            by_generators = all(A.contains_element(B.rep * system.generator(s) * rep_inv)
+                                for s in B.gens)
+            assert A.contains(B) == by_generators, (A, B)
 
 
 # -- conjugate generator subsets ----------------------------------------------------------

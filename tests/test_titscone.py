@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from coxkit import corpus
-from coxkit.errors import DimensionMismatch, MixedSystems, StepCapExceeded
+from coxkit.errors import (DimensionMismatch, InvalidQuery, MixedSystems,
+                           StepCapExceeded)
 from coxkit.oracle import enumerate_group
 from coxkit.parabolic import make
 from coxkit.titscone import (DualPoint, fundamental_point, locate, stabilizer)
@@ -54,10 +55,11 @@ def test_one_step_walk(a2):
 
 
 def test_midpoint_example(a2):
-    # midpoint of f({s}) and s(f({t})): its stabilizer must match the oracle
+    # f({s}) + s(f({t})), twice their midpoint: its stabilizer must match the
+    # oracle
     a = fundamental_point(a2, frozenset({0}))
     b = fundamental_point(a2, frozenset({1})).transformed_by(a2.generator(0))
-    f = a.combine(b, Fraction(1, 2))
+    f = DualPoint(a2, tuple(x + y for x, y in zip(a.coords, b.coords)))
     P = stabilizer(f)
     table = enumerate_group(a2)
     fixing = {g for g in table.elements if g.fixes_dual_coords(f.coords)}
@@ -78,10 +80,20 @@ def test_located_cell_reproduces_the_point(b3):
         assert loc.gens == I
 
 
-def test_step_cap(a2):
+def test_step_cap(a2, a3):
+    # the cap counts steps: the walk of s t s (f) takes three, and a dominant
+    # point needs none
     f = fundamental_point(a2, frozenset()).transformed_by(a2.element("s t s"))
     with pytest.raises(StepCapExceeded):
         locate(f, step_cap=2)
+    assert locate(f, step_cap=3).w == a2.element("s t s")
+    loc = locate(fundamental_point(a3, frozenset({0})), step_cap=0)
+    assert loc.w.is_identity and loc.gens == frozenset({0})
+
+
+def test_negative_step_cap_rejected(a3):
+    with pytest.raises(InvalidQuery):
+        locate(fundamental_point(a3, frozenset({0})), step_cap=-1)
 
 
 def test_point_outside_the_cone_is_detected(dinf):
