@@ -71,8 +71,9 @@ class CoxeterSystem:
         self._bfs_layers: list[list[GroupElement]] = [[self.identity]]
         self._bfs_closed = False
         # tables derived from the system by other modules, built on first use:
-        # closure candidates by radius (paraclose), the element table (oracle)
-        self.cache = {"closure_candidates": {}, "oracle_table": None}
+        # closure candidates by radius (paraclose), the element table (oracle),
+        # the classified components of the Tits cone (titscone)
+        self.cache = {"closure_candidates": {}, "oracle_table": None, "tits_cone": None}
 
     # -- construction checks -------------------------------------------------
 

@@ -78,28 +78,47 @@ def make(w: GroupElement, gens) -> Parabolic:
 
 
 def intersect(p1: Parabolic, p2: Parabolic) -> Parabolic:
-    """The intersection of two parabolic subgroups, again parabolic.
+    """The intersection of two parabolic subgroups, again parabolic: p1 meets
+    the stabilizer of p2's base point (arXiv math/0512408)."""
+    if p1.system is not p2.system:
+        raise MixedSystems("subgroups belong to different systems")
+    return _intersect_stabilizer(p1, p2.base_point.coords)
 
-    With p1 = w W_I w^{-1}, the intersection is w (W_I & Stab(y)) w^{-1} for
-    the point y = w^{-1}(b2), b2 the base point of p2 (arXiv math/0512408).
-    The pairings of y are <b2, w(alpha_t)>, pairings with the columns of w's
+
+def _intersect_stabilizer(p: Parabolic, coords, either_sign: bool = False) -> Parabolic:
+    """The subgroup of p = w W_I w^{-1} fixing the dual point v with the given
+    pairings: w (W_I & Stab(y)) w^{-1} for y = w^{-1}(v).
+
+    The pairings of y are <v, w(alpha_t)>, pairings with the columns of w's
     matrix.  Walking y with the generators of I alone ends at a point
     y' = u^{-1}(y), u in W_I, that pairs nonnegatively with alpha_s for every
     s in I; its stabilizer in W_I is W_J, J the generators of I pairing to 0
-    with it (Humphreys 1990, 5.13, for W_I).  So the intersection is
-    (w u) W_J (w u)^{-1}.  The walk ends because y lies in the Tits cone:
-    only finitely many positive roots pair negatively with it, and each step
-    removes one.
+    with it (Humphreys 1990, 5.13, for W_I).  So the answer is
+    (w u) W_J (w u)^{-1}, and p itself when J = I.  The walk ends when W_I is
+    finite or v lies in the Tits cone: only finitely many positive roots pair
+    negatively with y, and each step removes one.  Every conjugate of the
+    trivial group is trivial, so J = {} gives (e, {}).
+
+    v and -v have one stabilizer.  With either_sign, for a caller whose W_I
+    is finite so that both walks end, the walk starts from whichever of y and
+    -y pairs negatively with fewer alpha_s, s in I: a shorter walk, and so a
+    shorter representative.
     """
-    if p1.system is not p2.system:
-        raise MixedSystems("subgroups belong to different systems")
-    system = p1.system
-    M = p1.rep.matrix
-    y = DualPoint(system, tuple(p2.base_point.pairing(tuple(row[t] for row in M))
+    system = p.system
+    M = p.rep.matrix
+    y = DualPoint(system, tuple(system.pairing(coords, tuple(row[t] for row in M))
                                 for t in range(system.rank)))
-    letters, coords = _walk(y, sorted(p1.gens), DEFAULT_STEP_CAP)
-    J = frozenset(s for s in p1.gens if coords[s].is_zero())
-    return make(system.normalize(p1.rep.word + tuple(letters)), J)
+    if either_sign:
+        signs = [y.coords[s].sign() for s in p.gens]
+        if signs.count(-1) > signs.count(1):
+            y = DualPoint(system, tuple(-c for c in y.coords))
+    letters, final = _walk(y, sorted(p.gens), DEFAULT_STEP_CAP)
+    J = frozenset(s for s in p.gens if final[s].is_zero())
+    if J == p.gens:
+        return p
+    if not J:
+        return make(system.identity, J)
+    return make(system.normalize(p.rep.word + tuple(letters)), J)
 
 
 class ConjugacyWitness:

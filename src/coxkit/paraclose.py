@@ -1,27 +1,37 @@
 """Parabolic closure: the smallest parabolic subgroup containing a given set.
 
-Every parabolic subgroup is the stabilizer of a point of the Tits cone U, so
-the closure Pc(X) is the stabilizer of a generic point of Fix(X) ∩ U, where
+Every parabolic subgroup is the stabilizer of a point of the Tits cone U, and
+an intersection of parabolics is parabolic (arXiv math/0512408), so the
+closure Pc(X) is the stabilizer of a generic point of Fix(X) ∩ U, where
 Fix(X) is the space of dual points fixed by every element of X.  pc computes
-a basis of Fix(X) exactly and walks a few combinations p of it to the
-fundamental domain, p = w(f) with f in the face C_I.  It accepts the first p
-whose stabilizer w W_I w^{-1} fixes every basis vector.  Such a stabilizer
-contains X and lies inside every parabolic containing X (each one is the
-stabilizer of a point of Fix(X)), so it is the closure, in any Coxeter
-group: this is the certificate.  Fix(X) = {0} certifies the whole group.
+a basis of Fix(X) exactly and, for a system whose cone is classified
+(titscone.ConeComponent: finite, affine and compact hyperbolic components),
+certifies the closure with walks alone:
 
-The certified closure is reported as the first containing candidate of its
-rank in the order of the candidate scan below, so its presentation
-(rep, gens) does not depend on which point certified it.
+* On each infinite component, either Fix(X) meets the cone only in 0, and
+  the closure contains that whole component, or an exact point of the cone
+  in Fix(X) is found.  Their sum p gives Stab(p) = w W_I w^{-1}, which
+  contains X, and W_I is finite on the components where p is nonzero.
+* Rank descent: while some root w(alpha_s), s in I, pairs nonzero with a
+  basis vector v of Fix(X), replace the subgroup by its intersection with
+  Stab(v), found by a walk in W_I.  The rank drops each round.
+* The result fixes all of Fix(X), so it lies inside every parabolic
+  containing X (each one is the stabilizer of a point of Fix(X)): it is the
+  closure, and its status is exact.  Fix(X) = {0} certifies the whole group
+  in any Coxeter group.
 
-Queries without a certificate fall back to the candidate scan: parabolics
-(w, I), with w a coset-minimal representative of bounded length, in order of
-increasing rank and length.  Containment of the query set in a candidate is
-a cheap exact test: every query element must fix the candidate's base
-point.  The running intersection of the containing candidates stabilizes at
-the closure; for a finite group scanned exhaustively the result is exact,
-and the first containing candidate already has minimal rank, which also
-certifies the minimal-rank characterization of the closure.
+Infinite groups report the presentation (rep, gens) the walks end at.  A
+finite group reports the first containing candidate of the certified rank in
+the order of the candidate scan below, so its presentation does not depend
+on the walks; when the radius shows no such candidate, the walked one.
+
+The candidate scan remains the fallback for systems whose cone is not
+classified: parabolics (w, I), with w a coset-minimal representative of
+length at most the radius, in order of increasing rank and length.
+Containment of the query set in a candidate is a cheap exact test: every
+query element must fix the candidate's base point.  The running intersection
+of the containing candidates stabilizes at the closure; for a finite group
+scanned exhaustively the result is exact, and otherwise radius-limited.
 """
 
 from __future__ import annotations
@@ -31,12 +41,9 @@ from itertools import chain, combinations
 from math import prod
 
 from .coxgroup import CoxeterSystem
-from .errors import InvalidQuery, InvariantViolation, MixedSystems, StepCapExceeded
-from .parabolic import Parabolic, intersect, make
-from .titscone import DualPoint, fundamental_point, locate
-
-# the points k^0 v_0 + k^1 v_1 + ... tried for a certificate, each also negated
-_TRIAL_STEPS = (1, 2, 3)
+from .errors import InvalidQuery, InvariantViolation, MixedSystems
+from .parabolic import Parabolic, _intersect_stabilizer, intersect, make
+from .titscone import DualPoint, cone_components, stabilizer
 
 
 class ClosureStatus(Enum):
@@ -45,8 +52,8 @@ class ClosureStatus(Enum):
 
 
 class ClosureQuery:
-    """A set of group elements and a length bound: the step cap of the
-    certificate's walk and the radius of the candidate scan."""
+    """A set of group elements and a length bound: the radius of the
+    candidate scan (a finite group's presentation, or the fallback)."""
 
     __slots__ = ("elements", "radius")
 
@@ -71,12 +78,13 @@ class ClosureQuery:
 class ClosureResult:
     """Closure with its audit trail.
 
-    status is EXACT when the closure is certified (the stabilizer of a
-    generic fixed point, or the whole group when only 0 is fixed) or when the
-    fallback scan was exhaustive (the group is finite and the enumeration
-    closed within the radius).  It is RADIUS_LIMITED when no certificate was
-    found and the scan was not exhaustive: the result is then the
-    intersection of the containing parabolics visible within the radius.
+    status is EXACT when the closure is certified (a parabolic containing X
+    that fixes all of Fix(X), or the whole group when Fix(X) meets the cone
+    only in 0) or when the fallback scan was exhaustive (the group is finite
+    and the enumeration closed within the radius).  It is RADIUS_LIMITED when
+    the system's cone is not classified and the scan was not exhaustive: the
+    result is then the intersection of the containing parabolics visible
+    within the radius.
     refinements lists the candidates that strictly shrank the running
     intersection, starting from the whole group; a certified closure of
     rank below the group's is its single refinement.
@@ -98,25 +106,35 @@ def _candidates(system: CoxeterSystem, radius: int):
     """Candidate parabolics (gens, w, base point coords) with w coset-minimal
     of length <= radius, in one block per rank, each block ordered by
     (length, word, subset).  Returns (blocks, closed); cached per system and
-    radius."""
+    radius.
+
+    The matrix of w^{-1} is carried down the BFS, (w s)^{-1} = s w^{-1} being
+    one row update of the parent's.  Its column t is w^{-1}(alpha_t), so the
+    base point w(f_I) pairs with alpha_t as the sum of the rows s outside I.
+    """
     cache = system.cache["closure_candidates"]
     hit = cache.get(radius)
     if hit is not None:
         return hit
     layers, closed = system.elements_up_to(radius)
     elements = [g for layer in layers for g in layer]
+    inverses = {(): system._identity_matrix}
+    for w in elements[1:]:
+        inverses[w.word] = system._gen_mul_left(w.word[-1], inverses[w.word[:-1]])
     n = system.rank
+    zero = system.field.zero
     blocks = []
     for size in range(n + 1):
         block = []
         for subset in combinations(range(n), size):
             I = frozenset(subset)
-            point = fundamental_point(system, I)
+            outside = [s for s in range(n) if s not in I]
             for w in elements:
                 if w.right_descents & I:
                     continue
-                block.append((len(w.word), w.word, subset, I, w,
-                              w.act_dual_coords(point.coords)))
+                N = inverses[w.word]
+                point = tuple(sum((N[s][t] for s in outside), zero) for t in range(n))
+                block.append((len(w.word), w.word, subset, I, w, point))
         block.sort(key=lambda item: item[:3])
         blocks.append(tuple(item[3:] for item in block))
     result = (tuple(blocks), closed)
@@ -173,45 +191,49 @@ def _fixed_space(elements) -> list[tuple]:
     return basis
 
 
-def _trial_points(basis):
-    """The points sum_i k^i * v_i of span(basis), for k in _TRIAL_STEPS, each
-    followed by its negative.  They lie on a moment curve, so a hyperplane
-    not containing the span holds at most len(basis) - 1 of them; a single
-    basis vector gives just v and -v."""
-    steps = _TRIAL_STEPS if len(basis) > 1 else _TRIAL_STEPS[:1]
-    for k in steps:
-        p = basis[0]
-        for i, v in enumerate(basis[1:], 1):
-            p = tuple(x + k ** i * y for x, y in zip(p, v))
-        yield p
-        yield tuple(-x for x in p)
+def _certify(system: CoxeterSystem, basis) -> Parabolic | None:
+    """The closure of a query with the nonzero fixed space span(basis), by a
+    cone point and rank descent; None when the system's cone is not
+    classified.
 
-
-def _certify(system: CoxeterSystem, basis, step_cap: int) -> Parabolic | None:
-    """Stab(p) for the first trial point p whose stabilizer fixes every basis
-    vector of Fix(X), or None.
-
-    The walk p = w(f), f in the face C_I, gives Stab(p) = w W_I w^{-1},
-    generated by the reflections in the roots w(alpha_s), s in I; such a
-    reflection fixes v iff <v, w(alpha_s)> = 0.  A point outside the Tits
-    cone, or one the walk does not bring to the fundamental domain within
-    the step cap, certifies nothing.
+    On a component where Fix(X) meets the cone only in 0 the closure contains
+    the whole component, so the basis is projected off it; the sum p of the
+    cone points found on the others starts the walk.  Every W_I met after
+    that walk is finite away from the dropped components, and the projected
+    basis vanishes on those, so every walk ends.
     """
-    for coords in _trial_points(basis):
-        try:
-            loc = locate(DualPoint(system, coords), step_cap)
-        except StepCapExceeded:
-            continue
-        M = loc.w.matrix
-        roots = [tuple(row[s] for row in M) for s in loc.gens]
-        if all(system.pairing(v, root).is_zero() for root in roots for v in basis):
-            return make(loc.w, loc.gens)
-    return None
+    components = cone_components(system)
+    if any(c.kind is None for c in components):
+        return None
+    zero = system.field.zero
+    p = (zero,) * system.rank
+    kept = set()
+    for component in components:
+        point = component.cone_point(basis)
+        if point is not None:
+            p = tuple(a + b for a, b in zip(p, point))
+            kept.update(component.gens)
+    projected = [tuple(x if s in kept else zero for s, x in enumerate(v)) for v in basis]
+    closure = stabilizer(DualPoint(system, p))
+    for v in projected:
+        closure = _intersect_stabilizer(closure, v, either_sign=True)
+    # the certificate: the reflections in the roots rep(alpha_s) generating
+    # the closure fix every projected basis vector
+    M = closure.rep.matrix
+    if any(system.pairing(v, tuple(row[s] for row in M))
+           for s in closure.gens for v in projected):
+        raise InvariantViolation("rank descent left a fixed point unfixed")
+    # letters of the components that J = closure.gens misses commute with W_J
+    touched = {s for c in components if closure.gens.intersection(c.gens) for s in c.gens}
+    word = tuple(s for s in closure.rep.word if s in touched)
+    if word != closure.rep.word:
+        closure = make(system.normalize(word), closure.gens)
+    return closure
 
 
 def pc(query: ClosureQuery) -> ClosureResult:
-    """Parabolic closure of the query set: certified when a generic point of
-    the fixed space certifies it, otherwise the scan within the radius."""
+    """Parabolic closure of the query set: certified when the system's cone
+    is classified, otherwise the scan within the radius."""
     system = query.system
     elements = query.elements
     if all(g.is_identity for g in elements):
@@ -220,22 +242,23 @@ def pc(query: ClosureQuery) -> ClosureResult:
     if not basis:
         return ClosureResult(make(system.identity, frozenset(range(system.rank))),
                              ClosureStatus.EXACT, ())
-    certified = _certify(system, basis, query.radius)
+    certified = _certify(system, basis)
     if certified is None:
         return scan_closure(query)
-    blocks, _ = _candidates(system, query.radius)
-    for gens, w, point_coords in blocks[certified.rank]:
-        if all(g.fixes_dual_coords(point_coords) for g in elements):
-            candidate = make(w, gens)
-            # one presentation (rep, gens) names one subgroup
-            if not (candidate.rep is certified.rep and candidate.gens == certified.gens
-                    or candidate.equals(certified)):
-                raise InvariantViolation(
-                    "certified closure differs from a containing candidate of its rank")
-            return ClosureResult(candidate, ClosureStatus.EXACT, (candidate,))
-    # the walk took at most `radius` steps, so the certified (rep, gens) is
-    # itself a candidate of this block and contains the query
-    raise InvariantViolation("no candidate of the certified rank contains the query")
+    if certified.rank == system.rank:
+        return ClosureResult(certified, ClosureStatus.EXACT, ())
+    if all(c.kind == "finite" for c in cone_components(system)):
+        blocks, _ = _candidates(system, query.radius)
+        for gens, w, point_coords in blocks[certified.rank]:
+            if all(g.fixes_dual_coords(point_coords) for g in elements):
+                candidate = make(w, gens)
+                # one presentation (rep, gens) names one subgroup
+                if not (candidate.rep is certified.rep and candidate.gens == certified.gens
+                        or candidate.equals(certified)):
+                    raise InvariantViolation(
+                        "certified closure differs from a containing candidate of its rank")
+                return ClosureResult(candidate, ClosureStatus.EXACT, (candidate,))
+    return ClosureResult(certified, ClosureStatus.EXACT, (certified,))
 
 
 def scan_closure(query: ClosureQuery) -> ClosureResult:

@@ -7,12 +7,17 @@ I.  Every point of the cone W * (closure of the fundamental chamber) is
 carried to the fundamental domain by repeatedly applying a generator whose
 pairing is negative, and the stabilizer of a point of w(C_I) is exactly
 w W_I w^{-1}.
+
+Membership in U is decided exactly, without a walk, for the finite, affine
+and compact hyperbolic components of a system (see ConeComponent); U is the
+product of its components' cones.
 """
 
 from __future__ import annotations
 
 from .coxgroup import CoxeterSystem, GroupElement
-from .errors import DimensionMismatch, InvalidQuery, MixedSystems, StepCapExceeded
+from .errors import (DimensionMismatch, InvalidQuery, InvariantViolation,
+                     MixedSystems, StepCapExceeded)
 
 DEFAULT_STEP_CAP = 10000
 
@@ -123,3 +128,169 @@ def stabilizer(f: DualPoint, step_cap: int = DEFAULT_STEP_CAP):
     from .parabolic import make
     loc = locate(f, step_cap)
     return make(loc.w, loc.gens)
+
+
+# -- the type of the cone ---------------------------------------------------------
+
+
+def _det(rows, zero, one):
+    """Determinant by cofactor expansion along successive rows, division-free,
+    with each minor memoized by its column set."""
+    k = len(rows)
+    memo = {}
+
+    def minor(cols):
+        if not cols:
+            return one
+        hit = memo.get(cols)
+        if hit is None:
+            row = rows[k - len(cols)]
+            hit = zero
+            for i, c in enumerate(cols):
+                if row[c]:
+                    term = row[c] * minor(cols[:i] + cols[i + 1:])
+                    hit = hit - term if i % 2 else hit + term
+            memo[cols] = hit
+        return hit
+
+    return minor(tuple(range(k)))
+
+
+class ConeComponent:
+    """An irreducible component of a system (a connected component of its
+    Coxeter graph, on the generators gens) and the data deciding its cone U_c.
+
+    kind is one of
+      "finite":     B_c is positive definite and U_c is the whole space;
+      "affine":     B_c is positive semidefinite with radical spanned by
+                    delta, all of whose coordinates are positive, and
+                    U_c = {f : <f, delta> > 0} together with 0;
+      "hyperbolic": compact hyperbolic, B_c of signature (k-1, 1) with every
+                    proper standard parabolic finite, and U_c the open future
+                    cone of the dual form together with 0 (Humphreys 1990,
+                    6.8);
+      None:         none of these, so U_c is not decided here.
+    form is delta for an affine component and adj(B_c) for a hyperbolic one,
+    indexed like gens.  B_c^{-1} = adj(B_c) / det B_c with det B_c < 0, so f
+    is timelike iff f^T adj(B_c) f > 0 and no division is needed.
+    """
+
+    __slots__ = ("system", "gens", "kind", "form")
+
+    def __init__(self, system: CoxeterSystem, gens: tuple[int, ...]):
+        self.system = system
+        self.gens = gens
+        field = system.field
+        B = [[system.form[s][t] for t in gens] for s in gens]
+        k = len(gens)
+
+        def positive_definite(idx):
+            # Sylvester: every leading principal minor is positive
+            return all(_det([[B[i][j] for j in idx[:m]] for i in idx[:m]],
+                            field.zero, field.one).sign() > 0
+                       for m in range(1, len(idx) + 1))
+
+        self.form = None
+        # every proper standard parabolic is finite iff every principal
+        # submatrix of size k - 1 is positive definite
+        if not all(positive_definite([j for j in range(k) if j != i])
+                   for i in range(k)):
+            self.kind = None
+            return
+        adj = [[_det([[B[r][c] for c in range(k) if c != i]
+                      for r in range(k) if r != j], field.zero, field.one)
+                * (-1 if (i + j) % 2 else 1)
+                for j in range(k)] for i in range(k)]
+        det = sum((B[0][j] * adj[j][0] for j in range(k)), field.zero).sign()
+        if det > 0:
+            self.kind = "finite"
+        elif det == 0:
+            # B adj(B) = det(B) I = 0; adj[0][0] is a positive principal minor
+            self.kind = "affine"
+            self.form = tuple(adj[i][0] for i in range(k))
+        else:
+            self.kind = "hyperbolic"
+            self.form = adj
+
+    def _restrict(self, v):
+        zero = self.system.field.zero
+        return tuple(x if s in self.gens else zero for s, x in enumerate(v))
+
+    def _dual_form(self, u, v):
+        """u^T adj(B_c) v on the component's coordinates."""
+        zero = self.system.field.zero
+        return sum((u[s] * sum((a * v[t] for a, t in zip(row, self.gens)), zero)
+                    for row, s in zip(self.form, self.gens) if u[s]), zero)
+
+    def cone_point(self, vectors):
+        """A nonzero point of U_c in the span of the vectors restricted to this
+        component, or None when that span meets U_c only in 0.  Exact; for a
+        hyperbolic component the restricted dual form is diagonalized by the
+        division-free Lagrange method.  The point has length rank, with 0 off
+        the component."""
+        vecs = [v for v in map(self._restrict, vectors) if any(v)]
+        if self.kind == "finite":
+            return vecs[0] if vecs else None
+        if self.kind == "affine":
+            for v in vecs:
+                level = sum((d * v[s] for d, s in zip(self.form, self.gens)),
+                            self.system.field.zero).sign()
+                if level:
+                    return v if level > 0 else tuple(-x for x in v)
+            return None
+        if self.kind != "hyperbolic":
+            raise InvariantViolation("the cone of this component is not classified")
+        while vecs:
+            values = [self._dual_form(v, v).sign() for v in vecs]
+            if 1 in values:
+                return self._future(vecs[values.index(1)])
+            if -1 not in values:
+                # a totally isotropic span, unless two vectors pair nonzero
+                for i, u in enumerate(vecs):
+                    for v in vecs[i + 1:]:
+                        b = self._dual_form(u, v).sign()
+                        if b:
+                            return self._future(tuple(x + b * y for x, y in zip(u, v)))
+                return None
+            # split off a spacelike pivot: its orthogonal complement in the
+            # span holds a timelike vector iff the span does
+            pivot = vecs.pop(values.index(-1))
+            a = self._dual_form(pivot, pivot)
+            projected = []
+            for v in vecs:
+                b = self._dual_form(v, pivot)
+                w = tuple(a * x - b * y for x, y in zip(v, pivot))
+                if any(w):
+                    projected.append(w)
+            vecs = projected
+        return None
+
+    def _future(self, v):
+        """The timelike v or -v, whichever lies in the sheet of the chamber:
+        two timelike vectors share a sheet iff they pair negatively under
+        B_c^{-1}, and the all-ones point lies in the chamber."""
+        ones = self._restrict((self.system.field.one,) * self.system.rank)
+        return v if self._dual_form(v, ones).sign() > 0 else tuple(-x for x in v)
+
+
+def cone_components(system: CoxeterSystem) -> tuple[ConeComponent, ...]:
+    """The irreducible components of the system, classified once and cached
+    on it."""
+    cached = system.cache["tits_cone"]
+    if cached is None:
+        n = system.rank
+        seen, components = set(), []
+        for first in range(n):
+            if first in seen:
+                continue
+            gens, frontier = {first}, [first]
+            while frontier:
+                s = frontier.pop()
+                for t in range(n):
+                    if t not in gens and system.matrix[s][t] != 2:
+                        gens.add(t)
+                        frontier.append(t)
+            seen |= gens
+            components.append(ConeComponent(system, tuple(sorted(gens))))
+        cached = system.cache["tits_cone"] = tuple(components)
+    return cached

@@ -76,8 +76,8 @@ def test_criterion_09_parabolic_closure_matches_oracle():
 
 def test_criterion_10_infinite_group_closure():
     """Infinite dihedral: the rotation closes to the whole group with an
-    audit of length at most 2, a reflection to itself, certified exact,
-    within 5 seconds."""
+    audit of length at most 2 and a reflection to itself, both certified
+    exact, within 5 seconds."""
     _run("infinite-closure", budget=5.0)
 
 
@@ -95,7 +95,7 @@ def test_criterion_12_exact_arithmetic_kernel():
 
 
 def test_criterion_13_certified_closure():
-    """In the three infinite corpus groups, every closure certified exact
-    contains its query and lies inside the scan-only closure at radius 12,
-    and each group yields at least one certified closure."""
+    """In the three infinite corpus groups, every closure is certified
+    exact, contains its query and lies inside the scan-only closure at
+    radius 12."""
     _run("certified-closure")

@@ -44,6 +44,14 @@ def test_pc_certified_golden(capsys):
                                 "rank: 3", "status: Exact", "refinements: 0"]
 
 
+def test_pc_reflection_golden(capsys):
+    # certified by a cone point and one walk in W_{a, c}; no candidate table
+    code, out, _ = run(capsys, "pc", "hyperbolic_334", "a")
+    assert code == 0
+    assert out.splitlines() == ["representative: e", "generators: {a}",
+                                "rank: 1", "status: Exact", "refinements: 1"]
+
+
 def test_roots_golden(capsys):
     code, out, _ = run(capsys, "roots", "a2", "--depth", "8")
     lines = out.splitlines()

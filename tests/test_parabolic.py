@@ -119,6 +119,14 @@ def test_disjoint_reflections_intersect_trivially(a2):
     assert R.rep.is_identity
 
 
+def test_trivial_intersection_has_identity_representative(dinf):
+    # the walk ends at rep1 * u = t s t s t s, but every conjugate of the
+    # trivial group is trivial
+    R = intersect(make(dinf.element("t s t s t s"), frozenset({1})),
+                  make(dinf.element("t"), frozenset()))
+    assert R.describe() == "(e, {})"
+
+
 def test_intersection_matches_brute_force(a3):
     table = enumerate_group(a3)
     paras = table.parabolics()

@@ -1,12 +1,19 @@
+import json
+from itertools import product
+from pathlib import Path
+
 import pytest
 
 from coxkit import corpus, paraclose
 from coxkit.coxgroup import build_system
 from coxkit.errors import CoxeterError, InvariantViolation, MixedSystems
 from coxkit.oracle import brute_pc, enumerate_group
-from coxkit.paraclose import (ClosureQuery, ClosureStatus, _fixed_space, pc,
-                              scan_closure)
+from coxkit.paraclose import (ClosureQuery, ClosureStatus, _candidates,
+                              _fixed_space, pc, scan_closure)
 from coxkit.parabolic import make
+from coxkit.titscone import fundamental_point
+
+RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "recorded.json"
 
 
 def test_query_validation(a2, b2):
@@ -49,9 +56,10 @@ def test_two_generators_close_to_the_whole_group(a2):
 
 
 def test_rotation_in_infinite_dihedral(dinf):
+    # Fix(s t) is the level-0 line, which meets the cone of A~1 only in 0
     res = pc(ClosureQuery([dinf.element("s t")], 6))
     assert res.closure.equals(make(dinf.identity, frozenset({0, 1})))
-    assert res.status is ClosureStatus.RADIUS_LIMITED
+    assert res.status is ClosureStatus.EXACT
     assert len(res.refinements) <= 2
 
 
@@ -77,6 +85,89 @@ def test_trivial_fixed_space_certifies_the_whole_group_without_a_scan():
     assert W.cache["closure_candidates"] == {}
 
 
+@pytest.mark.parametrize("name", corpus.INFINITE_NAMES)
+def test_reflections_close_to_themselves(name):
+    # Pc(t) = <t> for every reflection t = u s u^-1, |u| <= 4
+    W = corpus.load(name)
+    reflections = {u * s * u.inverse()
+                   for k in range(5) for word in product(range(W.rank), repeat=k)
+                   for u in [W.normalize(word)] for s in W.generators}
+    for t in reflections:
+        res = pc(ClosureQuery([t], 6))
+        assert res.status is ClosureStatus.EXACT, t
+        assert res.closure.rank == 1 and res.closure.contains_element(t), t
+
+
+@pytest.mark.parametrize("name", ["hyperbolic_334", "affine_a2"])
+def test_recorded_pool_is_certified(name):
+    # perfbench's pool of queries the candidate scan left radius-limited:
+    # each answer is exact, holds its query and lies inside the recorded
+    # closure
+    data = json.loads(RECORDED.read_text())
+    W = corpus.load(name)
+    for entry in data["closures"][name]:
+        elements = [W.normalize(tuple(word)) for word in entry["elements"]]
+        res = pc(ClosureQuery(elements, data["radius"]))
+        recorded = make(W.normalize(tuple(entry["rep"])), entry["gens"])
+        assert res.status is ClosureStatus.EXACT, entry
+        assert all(res.closure.contains_element(g) for g in elements), entry
+        assert recorded.contains(res.closure), entry
+
+
+@pytest.mark.parametrize("name", corpus.INFINITE_NAMES)
+def test_infinite_groups_build_no_candidate_table(name):
+    # a fresh system, so that no other test has enumerated it
+    W = build_system(corpus.load(name).matrix)
+    for word in ((0,), (0, 1), (1, 0, 1), (2, 0, 1, 0, 1, 1, 2), (1, 2, 1, 0, 1)):
+        res = pc(ClosureQuery([W.normalize([s % W.rank for s in word])], 12))
+        assert res.status is ClosureStatus.EXACT
+    assert W.cache["closure_candidates"] == {}
+    assert len(W._bfs_layers) == 1
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("matrix, words, expected", [
+    # A~1 x A~1 on a, b | c, d: a rotation's fixed space meets the cone of
+    # its factor only in 0, so its closure is that whole factor
+    ([[1, INF, 2, 2], [INF, 1, 2, 2], [2, 2, 1, INF], [2, 2, INF, 1]],
+     ["a b"], "(e, {a, b})"),
+    ([[1, INF, 2, 2], [INF, 1, 2, 2], [2, 2, 1, INF], [2, 2, INF, 1]],
+     ["a b", "c"], "(e, {a, b, c})"),
+    ([[1, INF, 2, 2], [INF, 1, 2, 2], [2, 2, 1, INF], [2, 2, INF, 1]],
+     ["a c"], "(e, {a, c})"),
+    ([[1, INF, 2, 2], [INF, 1, 2, 2], [2, 2, 1, INF], [2, 2, INF, 1]],
+     ["b a b", "c d c"], 2),
+    ([[1, INF, 2, 2], [INF, 1, 2, 2], [2, 2, 1, INF], [2, 2, INF, 1]],
+     ["a b c d"], "(e, {a, b, c, d})"),
+    # A~1 x A2
+    ([[1, INF, 2, 2], [INF, 1, 2, 2], [2, 2, 1, 3], [2, 2, 3, 1]],
+     ["a b", "c d"], "(e, {a, b, c, d})"),
+    ([[1, INF, 2, 2], [INF, 1, 2, 2], [2, 2, 1, 3], [2, 2, 3, 1]],
+     ["a b a", "d c d"], 2),
+])
+def test_closures_in_reducible_systems(matrix, words, expected):
+    W = build_system(matrix)
+    elements = [W.element(word) for word in words]
+    res = pc(ClosureQuery(elements, 6))
+    assert res.status is ClosureStatus.EXACT
+    assert all(res.closure.contains_element(g) for g in elements)
+    assert scan_closure(ClosureQuery(elements, 6)).closure.contains(res.closure)
+    if isinstance(expected, str):
+        assert res.closure.describe() == expected
+    else:
+        assert res.closure.rank == expected
+
+
+@pytest.mark.parametrize("name, radius", [("b3", 16), ("h3", 16), ("affine_a2", 8)])
+def test_candidate_base_points_match_the_dual_action(name, radius):
+    W = corpus.load(name)
+    blocks, _ = _candidates(W, radius)
+    for gens, w, point in (c for block in blocks for c in block):
+        assert point == w.act_dual_coords(fundamental_point(W, gens).coords)
+
+
 def test_certified_closure_in_affine_group():
     W = corpus.load("affine_a2")
     res = pc(ClosureQuery([W.element("a b")], 10))
@@ -99,9 +190,17 @@ def test_fixed_space_dimension_is_corank_of_closure(b3):
 
 def test_certificate_disagreeing_with_the_scan_raises(a3, monkeypatch):
     wrong = make(a3.identity, frozenset({0}))
-    monkeypatch.setattr(paraclose, "_certify", lambda system, basis, cap: wrong)
+    monkeypatch.setattr(paraclose, "_certify", lambda system, basis: wrong)
     with pytest.raises(InvariantViolation):
         pc(ClosureQuery([a3.generator(2)], 8))
+
+
+def test_descent_that_fixes_too_little_raises(monkeypatch):
+    monkeypatch.setattr(paraclose, "_intersect_stabilizer",
+                        lambda p, coords, either_sign: p)
+    W = corpus.load("hyperbolic_334")
+    with pytest.raises(InvariantViolation):
+        pc(ClosureQuery([W.element("a")], 6))
 
 
 def test_refinement_audit_records_actual_refinements(a2):
