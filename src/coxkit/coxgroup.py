@@ -325,18 +325,16 @@ class GroupElement:
     """A group element in canonical form: the ShortLex-least reduced word.
 
     Instances are interned per system, so equal elements are the same object;
-    matrices and descent sets are cached on first use.
+    the matrix and the descent sets are cached on first use.
     """
 
-    __slots__ = ("system", "word", "_matrix", "_inv_matrix", "_dual_matrix",
-                 "_left_descents", "_right_descents", "_hash")
+    __slots__ = ("system", "word", "_matrix", "_left_descents", "_right_descents",
+                 "_hash")
 
     def __init__(self, system: CoxeterSystem, word: tuple[int, ...]):
         self.system = system
         self.word = word
         self._matrix = None
-        self._inv_matrix = None
-        self._dual_matrix = None
         self._left_descents = None
         self._right_descents = None
         self._hash = hash((id(system), word))
@@ -351,26 +349,10 @@ class GroupElement:
 
     @property
     def matrix(self):
+        """Matrix in simple-root coordinates; column t is the root w(alpha_t)."""
         if self._matrix is None:
             self._matrix = self.system.compose_matrix(self.word)
         return self._matrix
-
-    @property
-    def inverse_matrix(self):
-        if self._inv_matrix is None:
-            self._inv_matrix = self.system.compose_matrix(tuple(reversed(self.word)))
-        return self._inv_matrix
-
-    @property
-    def dual_matrix(self):
-        """Matrix of the dual action on pairing coordinates: the transpose of
-        the matrix of the inverse."""
-        if self._dual_matrix is None:
-            n = self.system.rank
-            Minv = self.inverse_matrix
-            self._dual_matrix = tuple(tuple(Minv[j][i] for j in range(n))
-                                      for i in range(n))
-        return self._dual_matrix
 
     def _check_same_system(self, other: "GroupElement") -> None:
         if not isinstance(other, GroupElement):
@@ -389,14 +371,14 @@ class GroupElement:
 
     @property
     def left_descents(self) -> frozenset[int]:
-        """Generators s with l(s*w) < l(w): columns of the inverse matrix that
-        are negative roots."""
+        """Generators s with l(s*w) < l(w): w^{-1}(alpha_s) is a negative root,
+        so its coordinates sum to <w(rho), alpha_s> < 0 for the all-ones
+        point rho."""
         if self._left_descents is None:
-            n = self.system.rank
-            N = self.inverse_matrix
+            sys = self.system
+            coords = self.act_dual_coords((sys.field.one,) * sys.rank)
             self._left_descents = frozenset(
-                s for s in range(n)
-                if _first_sign(tuple(N[i][s] for i in range(n))) < 0)
+                s for s, c in enumerate(coords) if c.sign() < 0)
         return self._left_descents
 
     @property
@@ -432,14 +414,16 @@ class GroupElement:
         return out
 
     def fixes_dual_coords(self, coords) -> bool:
-        """Whether the dual action fixes the point, decided coordinate by
-        coordinate with early exit."""
-        D = self.dual_matrix
+        """Whether the dual action fixes the point f.  w and w^{-1} fix the
+        same points, and <w^{-1} f, alpha_t> = <f, w(alpha_t)>, so f is fixed
+        iff it pairs with each column t of the matrix to f_t; decided column
+        by column with early exit."""
+        M = self.matrix
         zero = self.system.field.zero
-        for t, row in enumerate(D):
+        for t in range(len(M)):
             acc = zero
-            for d, c in zip(row, coords):
-                acc = acc + d * c
+            for row, c in zip(M, coords):
+                acc = acc + row[t] * c
             if acc != coords[t]:
                 return False
         return True

@@ -19,8 +19,8 @@ class IncompatibleOrder(CoxeterError):
 
 
 class InvalidQuery(CoxeterError, ValueError):
-    """A query's arguments are out of range (no elements, a negative radius
-    or step cap)."""
+    """A query's arguments are out of range (no elements, or a radius or step
+    cap that is not a nonnegative int)."""
 
 
 class IrrationalScalar(CoxeterError, ValueError):
@@ -28,7 +28,8 @@ class IrrationalScalar(CoxeterError, ValueError):
 
 
 class MixedFields(CoxeterError):
-    """Arithmetic between scalars of different field contexts."""
+    """A value outside the field at hand: a scalar of another field context,
+    or a number that is neither an int nor a Fraction (a float, say)."""
 
 
 class DimensionMismatch(CoxeterError):

@@ -65,8 +65,8 @@ class ClosureQuery:
         for g in elements:
             if g.system is not system:
                 raise MixedSystems("query elements belong to different systems")
-        if radius < 0:
-            raise InvalidQuery("radius must be nonnegative")
+        if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
+            raise InvalidQuery(f"radius {radius!r} is not a nonnegative integer")
         self.elements = elements
         self.radius = radius
 
@@ -144,7 +144,9 @@ def _candidates(system: CoxeterSystem, radius: int):
 
 def _fixed_space(elements) -> list[tuple]:
     """A basis of Fix(X) in pairing coordinates: the null space of the rows
-    of D_g - I stacked over g in X, D_g the dual matrix of g.
+    of M_g^T - I stacked over g in X.  Row t of M_g^T is the root g(alpha_t),
+    and f is fixed by g iff <f, g(alpha_t)> = f_t for every t (g and g^{-1}
+    fix the same points).
 
     Division-free, cross-multiplying elimination.  The pivot rows stay in
     reduced form: a new row r is cleared at each pivot column c by
@@ -157,8 +159,9 @@ def _fixed_space(elements) -> list[tuple]:
     field = system.field
     pivots: list[tuple[int, list]] = []
     for g in elements:
-        for t, drow in enumerate(g.dual_matrix):
-            row = list(drow)
+        M = g.matrix
+        for t in range(n):
+            row = [r[t] for r in M]
             row[t] = row[t] - field.one
             for c, prow in pivots:
                 b = row[c]

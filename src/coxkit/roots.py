@@ -19,8 +19,10 @@ _REFLECTION_WORD_CAP = 4096
 class Root:
     """A root vector in simple-root coordinates.
 
-    Construction checks the sign dichotomy: mixed coordinate signs raise
-    RootSignViolation.  sign is +1 for positive roots and -1 for negative.
+    Coordinates are scalars of the system's field; ints and Fractions are
+    converted, and anything else raises MixedFields.  Construction checks the
+    sign dichotomy: mixed coordinate signs raise RootSignViolation.  sign is
+    +1 for positive roots and -1 for negative.
     """
 
     __slots__ = ("system", "coords", "support", "sign")
@@ -29,6 +31,7 @@ class Root:
         coords = tuple(coords)
         if len(coords) != system.rank:
             raise RootSignViolation("coordinate length does not match the rank")
+        coords = tuple(map(system.field.coerce, coords))
         signs = {c.sign() for c in coords}
         signs.discard(0)
         if len(signs) != 1:

@@ -16,7 +16,8 @@ minimal polynomial of theta, so equality is coefficient equality.  The ring
 operations are addition, subtraction and multiplication; there is no
 division.  Signs are decided exactly: the scalar's polynomial is evaluated
 with rational interval arithmetic on a shrinking isolating interval for
-theta.  Floating point is never consulted.
+theta, which starts as (2 - 10/L^2, 2): the conjugates of theta are known in
+closed form too.  Floating point is never consulted.
 """
 
 from __future__ import annotations
@@ -58,51 +59,6 @@ def _poly_interval_eval(p, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fracti
         cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
         vlo, vhi = min(cands) + c, max(cands) + c
     return vlo, vhi
-
-
-def _poly_derivative(p):
-    return [c * k for k, c in enumerate(p)][1:]
-
-
-def _poly_rem(a, b):
-    """Remainder of a modulo b over the rationals (b nonzero)."""
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _strip(a):
-        if not a:
-            break
-        q = a[-1] / lead
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] -= q * c
-        _strip(a)
-    return a
-
-
-def _sturm_chain(p):
-    chain = [list(p), _poly_derivative(list(p))]
-    while _strip(chain[-1]):
-        rem = [-c for c in _poly_rem(chain[-2], chain[-1])]
-        if not _strip(rem):
-            break
-        chain.append(rem)
-    if not chain[-1]:
-        chain.pop()
-    return chain
-
-
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v:
-            signs.append(v > 0)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _count_roots(chain, a: Fraction, b: Fraction) -> int:
-    """Distinct real roots in (a, b); requires nonvanishing at both endpoints."""
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
 def double_cosine_poly(k: int) -> list[int]:
@@ -213,23 +169,30 @@ def _theta_minpoly(L: int) -> list[int]:
     return poly
 
 
-def _isolate_largest_root(p) -> tuple[Fraction, Fraction]:
-    """An isolating interval for the largest real root of the squarefree p.
+def _isolating_interval(minpoly, L: int) -> tuple[Fraction, Fraction]:
+    """An interval (lo, hi) holding theta = 2*cos(pi/L) and no other root of
+    its minimal polynomial, with rational endpoints.
 
-    Exact throughout: Sturm-chain root counts on a bisection whose midpoints
-    are never roots, since p is irreducible of degree >= 2 whenever it
-    bisects at all.
+    The roots are 2*cos(k*pi/L) for the odd k prime to L, 0 < k < L (Watkins
+    and Zeitlin), so theta is the largest and, for L >= 4, the next one is at
+    most 2*cos(3*pi/L).  From 1 - x^2/2 <= cos x <= 1 - x^2/2 + x^4/24:
+
+    * theta >= 2 - pi^2/L^2 > 2 - 10/L^2, as pi^2 < 10, and theta < 2;
+    * 2*cos(3*pi/L) <= 2 - 9*pi^2/L^2 + 27*pi^4/(4*L^4), which lies below
+      2 - 10/L^2 whenever L^2 > 27*pi^4 / (4*(9*pi^2 - 10)), about 8.3, so
+      for every L >= 3.
+
+    So (2 - 10/L^2, 2) isolates theta.  The rational fields (L <= 3) take
+    (-3, 3).  The minimal polynomial is checked, exactly, to be nonzero at
+    both ends and to change sign across the interval.
     """
-    chain = _sturm_chain(p)
-    lo, hi = Fraction(-3), Fraction(3)  # every 2*cos(k*pi/L) lies in [-2, 2]
-    while _count_roots(chain, lo, hi) > 1:
-        mid = (lo + hi) / 2
-        if not _poly_eval(p, mid):
-            raise InvariantViolation("minimal polynomial has a rational root")
-        if _count_roots(chain, mid, hi):
-            lo = mid
-        else:
-            hi = mid
+    if len(minpoly) <= 2:
+        return Fraction(-3), Fraction(3)
+    lo, hi = 2 - Fraction(10, L * L), Fraction(2)
+    vlo, vhi = _poly_eval(minpoly, lo), _poly_eval(minpoly, hi)
+    if not vlo or not vhi or (vlo < 0) == (vhi < 0):
+        raise InvariantViolation("minimal polynomial does not change sign "
+                                 "across the isolating interval of theta")
     return lo, hi
 
 
@@ -254,14 +217,13 @@ class FieldContext:
     so concurrent readers always see a valid enclosure).
     """
 
-    __slots__ = ("L", "minpoly", "iso_interval", "degree", "_powers", "_iso",
-                 "_minpoly_chain_lo_sign", "_zero", "_one", "_theta", "_cos_cache")
+    __slots__ = ("L", "minpoly", "degree", "_powers", "_iso", "_zero", "_one",
+                 "_theta", "_cos_cache")
 
     def __init__(self, L: int, minpoly: tuple[Fraction, ...],
                  iso_interval: tuple[Fraction, Fraction]):
         self.L = L
         self.minpoly = minpoly
-        self.iso_interval = iso_interval
         self.degree = len(minpoly) - 1
         d = self.degree
         # reductions of theta^d .. theta^(2d-2) as coefficient tuples
@@ -293,6 +255,18 @@ class FieldContext:
     @property
     def theta(self) -> "FieldScalar":
         return self._theta
+
+    def coerce(self, value) -> "FieldScalar":
+        """value as an element of this field: a scalar of this context, an
+        int or a Fraction.  Anything else, floats included, raises
+        MixedFields."""
+        if isinstance(value, FieldScalar):
+            if value.ctx is not self:
+                raise MixedFields("scalars belong to different field contexts")
+            return value
+        if isinstance(value, (int, Fraction)):
+            return self.from_rational(value)
+        raise MixedFields(f"{value!r} is not an element of Q(2cos(pi/{self.L}))")
 
     def from_rational(self, q) -> "FieldScalar":
         q = Fraction(q)
@@ -516,12 +490,13 @@ def build_field(coxeter_matrix) -> FieldContext:
     L is the lcm of the finite labels >= 3 (L = 1 when there are none).  The
     minimal polynomial of theta = 2*cos(pi/L) is the cyclotomic polynomial
     Phi_{2L} folded into x = z + 1/z, built with integer arithmetic only;
-    theta is its largest real root, isolated by Sturm-count bisection.
+    theta is its largest real root, isolated in closed form
+    (_isolating_interval).
     """
     matrix = validate_matrix(coxeter_matrix)
     L = _cosine_order_lcm(matrix)
     minpoly = tuple(Fraction(c) for c in _theta_minpoly(L))
-    ctx = FieldContext(L, minpoly, _isolate_largest_root(minpoly))
+    ctx = FieldContext(L, minpoly, _isolating_interval(minpoly, L))
     expected = _totient(2 * L) // 2 if L >= 3 else 1
     if ctx.degree != expected:
         raise InvariantViolation("minimal polynomial has unexpected degree")

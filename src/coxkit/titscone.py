@@ -23,7 +23,10 @@ DEFAULT_STEP_CAP = 10000
 
 
 class DualPoint:
-    """A point of the dual space, by its pairings with the simple roots."""
+    """A point of the dual space, by its pairings with the simple roots.
+
+    Coordinates are scalars of the system's field; ints and Fractions are
+    converted, and anything else raises MixedFields."""
 
     __slots__ = ("system", "coords")
 
@@ -32,7 +35,7 @@ class DualPoint:
         if len(coords) != system.rank:
             raise DimensionMismatch("coordinate length does not match the rank")
         self.system = system
-        self.coords = coords
+        self.coords = tuple(map(system.field.coerce, coords))
 
     def pairing(self, vec):
         """<f, v> for a vector v in simple-root coordinates."""
@@ -88,11 +91,11 @@ def _walk(f: DualPoint, gens, step_cap: int) -> tuple[list[int], tuple]:
     of them pairs negatively with the point, apply the smallest such one.
 
     Returns the letters applied, in order, and the final pairings.  The
-    walk never takes more than step_cap steps (StepCapExceeded); a negative
-    cap is an InvalidQuery.
+    walk never takes more than step_cap steps (StepCapExceeded); a cap that
+    is not a nonnegative int is an InvalidQuery.
     """
-    if step_cap < 0:
-        raise InvalidQuery("step cap must be nonnegative")
+    if not isinstance(step_cap, int) or isinstance(step_cap, bool) or step_cap < 0:
+        raise InvalidQuery(f"step cap {step_cap!r} is not a nonnegative integer")
     system = f.system
     coords = f.coords
     letters = []
@@ -100,7 +103,7 @@ def _walk(f: DualPoint, gens, step_cap: int) -> tuple[list[int], tuple]:
         negative = next((s for s in gens if coords[s].sign() < 0), None)
         if negative is None:
             return letters, coords
-        if len(letters) == step_cap:
+        if len(letters) >= step_cap:
             raise StepCapExceeded(
                 f"no dominant representative within {step_cap} steps; "
                 "the point may lie outside the Tits cone")

@@ -229,11 +229,15 @@ def test_length_subadditive(u, v):
     assert (c.length - a.length - b.length) % 2 == 0
 
 
-@given(_words)
-def test_descent_shortens(w):
-    g = _SYS.normalize(w)
-    for s in g.left_descents:
-        assert (_SYS.generator(s) * g).length == g.length - 1
-    for s in range(_SYS.rank):
-        if s not in g.left_descents:
-            assert (_SYS.generator(s) * g).length == g.length + 1
+_HYP = corpus.load("hyperbolic_334")
+
+
+@given(_words, st.lists(st.integers(0, _HYP.rank - 1), max_size=10))
+def test_descent_shortens(w, v):
+    for system, word in ((_SYS, w), (_HYP, v)):
+        g = system.normalize(word)
+        for s in range(system.rank):
+            left = g.length - 1 if s in g.left_descents else g.length + 1
+            assert (system.generator(s) * g).length == left
+            right = g.length - 1 if s in g.right_descents else g.length + 1
+            assert (g * system.generator(s)).length == right

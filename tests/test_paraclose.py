@@ -6,7 +6,8 @@ import pytest
 
 from coxkit import corpus, paraclose
 from coxkit.coxgroup import build_system
-from coxkit.errors import CoxeterError, InvariantViolation, MixedSystems
+from coxkit.errors import (CoxeterError, InvalidQuery, InvariantViolation,
+                           MixedSystems)
 from coxkit.oracle import brute_pc, enumerate_group
 from coxkit.paraclose import (ClosureQuery, ClosureStatus, _candidates,
                               _fixed_space, pc, scan_closure)
@@ -23,6 +24,9 @@ def test_query_validation(a2, b2):
         ClosureQuery([a2.identity], -1)
     assert isinstance(empty.value, CoxeterError)
     assert isinstance(negative.value, CoxeterError)
+    for radius in (2.5, "3", True, None):
+        with pytest.raises(InvalidQuery):
+            ClosureQuery([a2.generator(0)], radius)
     with pytest.raises(MixedSystems):
         ClosureQuery([a2.identity, b2.identity], 5)
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from coxkit import corpus
-from coxkit.errors import (NotARoot, RootSignViolation, SupportNotContained)
+from coxkit.errors import (CoxeterError, MixedFields, NotARoot,
+                           RootSignViolation, SupportNotContained)
 from coxkit.roots import (Root, descend_root, enumerate_roots,
                           reflection_of_root, root_of, root_depths,
                           simple_root)
@@ -26,6 +27,21 @@ def test_signs(a2):
     assert rational_root(a2, 1, 1).is_positive()
     assert not rational_root(a2, -1, 0).is_positive()
     assert (-rational_root(a2, 1, 0)) == rational_root(a2, -1, 0)
+
+
+def test_rational_coordinates_are_converted(a2):
+    assert Root(a2, (1, 1)) == rational_root(a2, 1, 1)
+    assert Root(a2, (0, Fraction(-1))).sign == -1
+    with pytest.raises(RootSignViolation):
+        Root(a2, (1, -1))
+
+
+def test_coordinates_outside_the_field_rejected(a2, b2):
+    with pytest.raises(MixedFields):
+        Root(a2, simple_root(b2, 0).coords)
+    for bad in ((1.0, 0), (1, "1")):
+        with pytest.raises(CoxeterError):
+            Root(a2, bad)
 
 
 # -- roots attached to elements ---------------------------------------------------

@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath import mp
 
 import coxkit
 from coxkit import corpus
 from coxkit.errors import (CoxeterError, DimensionMismatch, IncompatibleOrder,
-                           InvalidMatrix, IrrationalScalar, MixedFields)
-from coxkit.scalar import (INFINITY, build_field, cos_pi_over,
+                           InvalidMatrix, InvariantViolation, IrrationalScalar,
+                           MixedFields)
+from coxkit.scalar import (INFINITY, _isolating_interval, build_field, cos_pi_over,
                            double_cosine_poly, validate_matrix)
 
 INF = math.inf
@@ -88,13 +90,44 @@ def test_h3_minpoly_matches_sympy():
     assert _matches_sympy(ctx)
 
 
-@pytest.mark.parametrize("L", [1] + list(range(3, 61)))
+def _unfolds_to_cyclotomic(ctx):
+    # for larger L, where sympy.minimal_polynomial takes minutes: a monic P
+    # of degree m = phi(2L)/2 with z^m * P(z + 1/z) = Phi_{2L}(z) vanishes at
+    # 2cos(pi/L), whose field has degree m, so P is its minimal polynomial
+    import sympy
+    z = sympy.Symbol("z")
+    m = ctx.degree
+    unfolded = sum((sympy.Poly(z ** 2 + 1, z) ** k * sympy.Poly(z ** (m - k), z) * int(c)
+                    for k, c in enumerate(ctx.minpoly)), sympy.Poly(0, z))
+    return (m == sympy.totient(2 * ctx.L) // 2 and ctx.minpoly[-1] == 1
+            and unfolded == sympy.Poly(sympy.cyclotomic_poly(2 * ctx.L, z), z))
+
+
+@pytest.mark.parametrize("L", [1] + list(range(3, 61)) + [120, 210, 360])
 def test_minpoly_matches_sympy(L):
     # L = 1 arises from labels 2 and inf only; L = 2 never arises
+    import sympy
     ctx = field_for((1, L), (L, 1)) if L > 1 else field_for(*RIGHT_ANGLES)
     assert ctx.L == L
     assert all(c.denominator == 1 for c in ctx.minpoly)
-    assert _matches_sympy(ctx)
+    assert _matches_sympy(ctx) if L <= 60 else _unfolds_to_cyclotomic(ctx)
+    # the closed-form interval isolates theta among the roots of minpoly
+    lo, hi = ctx._iso
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([int(c) for c in reversed(ctx.minpoly)], x)
+    assert poly.count_roots(sympy.Rational(lo.numerator, lo.denominator),
+                            sympy.Rational(hi.numerator, hi.denominator)) == 1
+    with mp.workdps(50):
+        theta = 2 * mp.cos(mp.pi / L)
+        assert mp.mpf(lo.numerator) / lo.denominator < theta < mp.mpf(hi.numerator) / hi.denominator
+
+
+def test_interval_without_a_sign_change_raises():
+    # x^2 - 2 (theta = sqrt 2, L = 4) is positive on L = 5's interval (1.6, 2)
+    with pytest.raises(InvariantViolation):
+        _isolating_interval((Fraction(-2), Fraction(0), Fraction(1)), 5)
+    assert _isolating_interval((Fraction(-1), Fraction(-1), Fraction(1)), 5) == (
+        Fraction(8, 5), Fraction(2))
 
 
 def test_engine_never_imports_sympy():

@@ -6,8 +6,8 @@ from mpmath import mp
 
 from coxkit import corpus
 from coxkit.coxgroup import build_system
-from coxkit.errors import (DimensionMismatch, InvalidQuery, MixedSystems,
-                           StepCapExceeded)
+from coxkit.errors import (CoxeterError, DimensionMismatch, InvalidQuery,
+                           MixedFields, MixedSystems, StepCapExceeded)
 from coxkit.oracle import enumerate_group
 from coxkit.parabolic import make
 from coxkit.titscone import (DualPoint, cone_components, fundamental_point,
@@ -95,14 +95,35 @@ def test_step_cap(a2, a3):
     assert loc.w.is_identity and loc.gens == frozenset({0})
 
 
-def test_negative_step_cap_rejected(a3):
+def test_negative_step_cap_rejected(a3, dinf):
     with pytest.raises(InvalidQuery):
         locate(fundamental_point(a3, frozenset({0})), step_cap=-1)
+    # a fractional cap was never reached by the step count, so the walk of a
+    # point outside the cone ran on without end
+    for cap in (50.5, "3", True, Fraction(50)):
+        with pytest.raises(InvalidQuery):
+            locate(point(dinf, -1, -1), cap)
 
 
 def test_point_outside_the_cone_is_detected(dinf):
     with pytest.raises(StepCapExceeded):
         locate(point(dinf, -1, -1))
+
+
+def test_rational_coordinates_are_converted(a2):
+    assert DualPoint(a2, (1, Fraction(-1, 2))) == point(a2, 1, Fraction(-1, 2))
+    loc = locate(DualPoint(a2, (1, -1)))
+    assert loc.w.word == (1,)
+    assert loc.point == point(a2, 0, 1)
+
+
+def test_coordinates_outside_the_field_rejected(a2, b2):
+    # b2's field is Q(sqrt 2): its scalars are not a2's
+    with pytest.raises(MixedFields):
+        DualPoint(a2, fundamental_point(b2, frozenset()).coords)
+    for bad in ((0.5, 1), (1, "1"), (1, None)):
+        with pytest.raises(CoxeterError):
+            DualPoint(a2, bad)
 
 
 def test_mixed_systems(a2, b2):
