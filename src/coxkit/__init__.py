@@ -6,14 +6,16 @@ subgroup algebra (membership, containment, intersection) and parabolic
 closure, all in exact arithmetic.  The one brute-force route, for finite
 groups only, is `oracle.py` (enumeration, literal subgroup sets, brute_pc);
 the engine modules never import it, so they are never checked against
-themselves.
+themselves.  `oracle` and `verify` are loaded only when one of their names
+is first used.
 """
 
-from . import errors
+from importlib import import_module
+
+from . import corpus, errors
 from .coxgroup import (CoxeterSystem, GroupElement, build_system,
                        load_group_file, order_of_product, parse_group_file,
                        serialize_group)
-from .oracle import FiniteGroupTable, brute_pc, enumerate_group
 from .parabolic import (ConjugacyWitness, Parabolic, conjugacy_normalize,
                         intersect, make)
 from .paraclose import ClosureQuery, ClosureResult, ClosureStatus, pc
@@ -23,7 +25,6 @@ from .scalar import (INFINITY, FieldContext, FieldScalar, build_field,
                      cos_pi_over)
 from .titscone import (CellLocation, DualPoint, fundamental_point, locate,
                        stabilizer)
-from .verify import SUITES, SuiteResult, run_suites
 
 __version__ = "0.1.0"
 
@@ -40,3 +41,19 @@ __all__ = [
     "SUITES", "SuiteResult", "run_suites",
     "errors", "__version__",
 ]
+
+# the checking routes, imported on first use: an engine-only caller never
+# pays for them
+_LAZY = {"FiniteGroupTable": "oracle", "enumerate_group": "oracle",
+         "brute_pc": "oracle", "SUITES": "verify", "SuiteResult": "verify",
+         "run_suites": "verify"}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name, name)
+    if module not in ("oracle", "verify"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f".{module}", __name__)
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value

@@ -24,12 +24,10 @@ from fractions import Fraction
 from . import corpus
 from .coxgroup import CoxeterSystem, load_group_file, order_of_product
 from .errors import CoxeterError
-from .oracle import enumerate_group
 from .parabolic import Parabolic, intersect, make
 from .paraclose import ClosureQuery, pc
 from .roots import Root, reflection_of_root, root_depths
 from .titscone import DualPoint, locate
-from .verify import SUITES, run_suites
 
 
 class UsageError(Exception):
@@ -197,6 +195,11 @@ def cmd_pc(args):
 
 
 def cmd_verify(args):
+    from .verify import SUITES, run_suites
+    unknown = [name for name in args.suite or () if name not in SUITES]
+    if unknown:
+        raise UsageError(f"unknown suite {unknown[0]!r}; choose from "
+                         + ", ".join(sorted(SUITES)))
     names = args.suite if args.suite else None
     results = run_suites(names)
     failed = [r for r in results if not r.passed]
@@ -213,6 +216,8 @@ def cmd_verify(args):
 
 def cmd_oracle_compare(args):
     import random
+
+    from .oracle import enumerate_group
     system = _load_group(args.group)
     table = enumerate_group(system)
     rng = random.Random(0)
@@ -301,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", cmd_verify,
             "run the property suites over the built-in corpus", group=False)
-    p.add_argument("--suite", action="append", choices=sorted(SUITES),
-                   help="run one suite (repeatable); default: all")
+    p.add_argument("--suite", action="append",
+                   help="run one suite by name (repeatable); default: all")
 
     p = add("oracle-compare", cmd_oracle_compare,
             "cross-check the brute-force table against canonical arithmetic")

@@ -62,6 +62,10 @@ class CoxeterSystem:
             form.append(tuple(row))
         self.form = tuple(form)
         self._gen_matrices = tuple(self._build_generator_matrix(s) for s in range(n))
+        # (t, 2*B(alpha_s, alpha_t)) for the Coxeter-graph neighbours t of s
+        self._neighbours = tuple(
+            tuple((t, b + b) for t, b in enumerate(self.form[s]) if t != s and b)
+            for s in range(n))
         self._identity_matrix = tuple(
             tuple(self.field.one if i == j else self.field.zero for j in range(n))
             for i in range(n))
@@ -124,18 +128,16 @@ class CoxeterSystem:
         return tuple(c - b * fs2 for c, b in zip(coords, B))
 
     def _gen_mul_left(self, s: int, M):
-        """M_s * M: replaces row s by row_s - 2 * sum_k B[s][k] * row_k."""
-        n, B = self.rank, self.form[s]
-        new_row = []
-        for j in range(n):
-            acc = M[s][j]
-            for k in range(n):
-                if B[k]:
-                    acc = acc - 2 * B[k] * M[k][j]
-            # the k == s term above subtracted 2*B[s][s]*M[s][j] = 2*M[s][j]
-            new_row.append(acc)
+        """M_s * M: only row s changes, to row_s - sum_k 2*B[s][k] * row_k.
+
+        The k == s term is 2*B[s][s] * row_s = 2 * row_s, so row s becomes
+        -row_s - sum c * row_t over the neighbours (t, c) of s; a commuting
+        generator t has B[s][t] = 0 and contributes nothing."""
+        row = [-x for x in M[s]]
+        for t, c in self._neighbours[s]:
+            row = [x - y * c for x, y in zip(row, M[t])]
         rows = list(M)
-        rows[s] = tuple(new_row)
+        rows[s] = tuple(row)
         return tuple(rows)
 
     def _gen_mul_right(self, M, s: int):

@@ -357,12 +357,14 @@ class FieldScalar:
         d = self.ctx.degree
         if d == 1:
             return FieldScalar(self.ctx, (a[0] * b[0],))
+        # the nonzero coefficients of b, listed once: a product by theta (or
+        # by any sparse scalar) costs O(d) instead of O(d^2)
+        nonzero = [(j, bj) for j, bj in enumerate(b) if bj]
         conv = [_F0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
+                for j, bj in nonzero:
+                    conv[i + j] += ai * bj
         res = conv[:d]
         powers = self.ctx._powers
         for k in range(d, 2 * d - 1):

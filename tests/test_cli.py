@@ -97,6 +97,12 @@ def test_verify_single_suite(capsys):
     assert "all suites passed" in out
 
 
+def test_verify_unknown_suite_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "kernel", "--suite", "nope")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: unknown suite 'nope'; choose from")
+
+
 # -- json mode -----------------------------------------------------------------
 
 

@@ -241,3 +241,17 @@ def test_descent_shortens(w, v):
             assert (system.generator(s) * g).length == left
             right = g.length - 1 if s in g.right_descents else g.length + 1
             assert (g * system.generator(s)).length == right
+
+
+# labels 2, 3 and inf: b and c commute, and a, c pair to 2B = -2
+_MIXED = parse_group_file("rank 3\nlabels a b c\n1 3 inf\n3 1 2\ninf 2 1\n")
+_LEFT_MUL_SYSTEMS = [corpus.load(name) for name in corpus.NAMES] + [_MIXED]
+
+
+@given(st.data())
+def test_left_multiplication_by_a_generator_is_the_matrix_product(data):
+    system = data.draw(st.sampled_from(_LEFT_MUL_SYSTEMS))
+    word = data.draw(st.lists(st.integers(0, system.rank - 1), max_size=12))
+    M = system.compose_matrix(word)
+    for s in range(system.rank):
+        assert system._gen_mul_left(s, M) == system._matmul(system._gen_matrices[s], M)

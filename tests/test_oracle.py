@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,3 +133,22 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.relative_to(package)} has assert statements at lines {lines}"
+
+
+def test_import_leaves_oracle_and_verify_unloaded():
+    # a fresh interpreter: the checking routes load only when first named
+    src = str(Path(coxkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, coxkit\n"
+            "lazy = {'coxkit.oracle', 'coxkit.verify'}\n"
+            "if lazy & set(sys.modules):\n"
+            "    sys.exit('loaded at import')\n"
+            "for name in coxkit.__all__:\n"
+            "    getattr(coxkit, name)\n"
+            "from coxkit import brute_pc, enumerate_group\n"
+            "if not lazy <= set(sys.modules) or coxkit.verify.SUITES is not coxkit.SUITES:\n"
+            "    sys.exit('not loaded on use')\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -285,3 +285,44 @@ def test_comparisons_are_an_order(a, b):
     assert (a < b) == ((b - a).sign() > 0)
     assert (a == b) == (b - a).is_zero()
     assert (a < b) or (a == b) or (a > b)
+
+
+_PRODUCT_FIELDS = {L: field_for((1, L), (L, 1)) for L in (4, 5, 12, 15)}
+
+
+@st.composite
+def operand_pairs(draw):
+    """A field, a dense scalar and a sparse one (at most two nonzero
+    coefficients)."""
+    ctx = _PRODUCT_FIELDS[draw(st.sampled_from(sorted(_PRODUCT_FIELDS)))]
+    d = ctx.degree
+
+    def coefficient():
+        return Fraction(draw(st.integers(-20, 20)), draw(st.integers(1, 12)))
+
+    dense = [coefficient() for _ in range(d)]
+    sparse = [Fraction(0)] * d
+    for k in draw(st.sets(st.integers(0, d - 1), max_size=2)):
+        sparse[k] = coefficient()
+    return ctx, ctx.scalar(dense), ctx.scalar(sparse)
+
+
+def _schoolbook_rem(ctx, a, b):
+    # independent route: sympy's remainder of the unreduced product
+    import sympy
+    x = sympy.Symbol("x")
+
+    def poly(coeffs):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(coeffs)], x, domain="QQ")
+
+    r = sympy.rem(poly(a.coeffs) * poly(b.coeffs), poly(ctx.minpoly))
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(r.all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (ctx.degree - len(coeffs)))
+
+
+@given(operand_pairs())
+def test_sparse_products_match_sympy(pair):
+    ctx, dense, sparse = pair
+    for a, b in ((dense, sparse), (sparse, dense), (dense, dense), (dense, ctx.theta)):
+        assert (a * b).coeffs == _schoolbook_rem(ctx, a, b)
