@@ -204,7 +204,7 @@ def cmd_verify(args):
     results = run_suites(names)
     failed = [r for r in results if not r.passed]
     result = [{"suite": r.name, "checks": r.checks,
-               "failures": r.failures, "passed": r.passed}
+               "failures": r.failures, "passed": r.passed, "seconds": r.seconds}
               for r in results]
     lines = [r.summary() for r in results]
     for r in failed:

@@ -3,10 +3,13 @@
 A system is built from a Coxeter matrix.  Generators act on V = span(alpha_s)
 by sigma_s(v) = v - 2*(alpha_s, v)*alpha_s with the bilinear form
 (alpha_s, alpha_t) = -cos(pi/m_st) (value -1 for an unbounded label).  The
-representation is faithful, so the matrix of an element is the source of
-truth; elements store the ShortLex-least reduced word, recovered from the
-matrix by the descent recursion: the smallest s with l(s*w) < l(w) is the
-smallest s whose column s of the matrix of w^{-1} is a negative root.
+representation is faithful, and the all-ones dual point rho (pairing 1 with
+every simple root) has trivial stabilizer, so w is determined by w(rho).
+Elements store the ShortLex-least reduced word, recovered by the descent
+recursion: the smallest s with l(s*w) < l(w) is the smallest s with
+<w(rho), alpha_s> = <rho, w^{-1}(alpha_s)> < 0, so the word is the walk of
+w(rho) back to rho, one dual step per letter.  Matrices are built only where
+a linear map is needed: fixed points, containment and roots.
 """
 
 from __future__ import annotations
@@ -70,9 +73,13 @@ class CoxeterSystem:
             tuple(self.field.one if i == j else self.field.zero for j in range(n))
             for i in range(n))
         self._check_representation()
+        self._rho = (self.field.one,) * n
         self._intern: dict = {}
+        self._label_sets: dict = {}
         self.identity = self._element(())
         self._bfs_layers: list[list[GroupElement]] = [[self.identity]]
+        # g^{-1}(rho) for each g of the last BFS layer
+        self._bfs_points = [self._rho]
         self._bfs_closed = False
         # tables derived from the system by other modules, built on first use:
         # closure candidates by radius (paraclose), the element table (oracle),
@@ -127,6 +134,25 @@ class CoxeterSystem:
         fs2 = coords[s] + coords[s]
         return tuple(c - b * fs2 for c, b in zip(coords, B))
 
+    def _walk_dual(self, coords, gens, step_cap: int):
+        """Walk a dual point with the generators gens, given in increasing
+        order: while some of them pairs negatively with the point, apply the
+        smallest such one.  Returns the letters applied, in order, and the
+        final pairings; None if step_cap steps do not end the walk."""
+        letters = []
+        while True:
+            negative = next((s for s in gens if coords[s].sign() < 0), None)
+            if negative is None:
+                return letters, coords
+            if len(letters) >= step_cap:
+                return None
+            coords = self._apply_gen_dual(negative, coords)
+            letters.append(negative)
+
+    def _negative_set(self, coords) -> frozenset[int]:
+        """The generators pairing negatively with a dual point."""
+        return self.label_set(s for s, c in enumerate(coords) if c.sign() < 0)
+
     def _gen_mul_left(self, s: int, M):
         """M_s * M: only row s changes, to row_s - sum_k 2*B[s][k] * row_k.
 
@@ -159,9 +185,7 @@ class CoxeterSystem:
     # -- words and elements ----------------------------------------------------
 
     def generator(self, i: int) -> "GroupElement":
-        if not 0 <= i < self.rank:
-            raise UnknownGenerator(f"generator index {i} out of range")
-        return self._element((i,))
+        return self._element(self.check_letters((i,)))
 
     @property
     def generators(self) -> tuple["GroupElement", ...]:
@@ -188,7 +212,8 @@ class CoxeterSystem:
     def check_letters(self, letters) -> tuple[int, ...]:
         letters = tuple(letters)
         for s in letters:
-            if not (isinstance(s, int) and 0 <= s < self.rank):
+            # bool is an int subclass, but True is no generator index
+            if isinstance(s, bool) or not (isinstance(s, int) and 0 <= s < self.rank):
                 raise UnknownGenerator(f"generator index {s!r} out of range")
         return letters
 
@@ -222,19 +247,26 @@ class CoxeterSystem:
         return None
 
     def normalize(self, letters) -> "GroupElement":
-        """Canonical element for an arbitrary word over the generators."""
+        """Canonical element for an arbitrary word over the generators.
+
+        q = w(rho) takes one dual step per letter, last to first.  The walk
+        of q back to rho applies, at each step, the smallest s pairing
+        negatively with the point: <w(rho), alpha_s> < 0 exactly when
+        w^{-1}(alpha_s) < 0, so s is the smallest left descent, and the
+        letters walked spell the ShortLex-least reduced word.  The walk takes
+        l(w) <= len(letters) steps and ends at rho.
+        """
         letters = self.check_letters(letters)
         el = self._intern.get(letters)
         if el is not None:
             return el
-        # matrix of the inverse word: compose generator matrices left to right
-        N = self._identity_matrix
-        for s in letters:
-            N = self._gen_mul_left(s, N)
-        word = self._word_from_inverse_matrix(N)
-        if word is None:
-            raise InvariantViolation("descent recursion failed on a group matrix")
-        return self._element(word)
+        q = self._rho
+        for s in reversed(letters):
+            q = self._apply_gen_dual(s, q)
+        walked = self._walk_dual(q, range(self.rank), len(letters))
+        if walked is None or walked[1] != self._rho:
+            raise InvariantViolation("the descent walk of w(rho) did not end at rho")
+        return self._element(tuple(walked[0]))
 
     def element(self, text: str) -> "GroupElement":
         """Canonical element for a word given as a string of labels."""
@@ -251,30 +283,33 @@ class CoxeterSystem:
         a length-lex least reduced word leaves a length-lex least reduced
         word), so extending the frontier in word order by ascending
         non-descent letters reaches every new element through its canonical
-        word first; duplicates are recognized by exact matrix equality.
+        word first.  Each element g carries the point g^{-1}(rho): for
+        h = g*s that is s applied to g's point, one dual step.  Its negative
+        pairings are h's right descents, and duplicates are recognized by
+        equal points, rho having trivial stabilizer.
         """
         layers = self._bfs_layers
         while not self._bfs_closed and len(layers) <= length:
-            frontier = layers[-1]
-            new = []
+            new, points = [], []
             seen = set()
-            for g in frontier:
-                M = g.matrix
+            for g, p in zip(layers[-1], self._bfs_points):
                 for s in range(self.rank):
                     if s in g.right_descents:
                         continue
-                    Mh = self._gen_mul_right(M, s)
-                    if Mh in seen:
+                    q = self._apply_gen_dual(s, p)
+                    if q in seen:
                         continue
-                    seen.add(Mh)
+                    seen.add(q)
                     h = self._element(g.word + (s,))
-                    if h._matrix is None:
-                        h._matrix = Mh
+                    if h._right_descents is None:
+                        h._right_descents = self._negative_set(q)
                     new.append(h)
+                    points.append(q)
             if not new:
                 self._bfs_closed = True
                 break
             layers.append(new)
+            self._bfs_points = points
         return layers[:length + 1], self._bfs_closed and len(layers) <= length + 1
 
     # -- misc ---------------------------------------------------------------------
@@ -302,18 +337,22 @@ class CoxeterSystem:
                      for i in range(self.rank))
 
     def label_set(self, gens) -> frozenset[int]:
-        """Generator subset from an iterable of indices or labels."""
+        """Generator subset from an iterable of indices or labels.  Equal
+        subsets come back as one shared frozenset per system."""
+        if type(gens) is frozenset and self._label_sets.get(gens) is gens:
+            return gens
         out = set()
         for g in gens:
             if isinstance(g, str):
                 if g not in self._index:
                     raise UnknownGenerator(f"unknown generator label {g!r}")
                 out.add(self._index[g])
-            elif isinstance(g, int) and 0 <= g < self.rank:
+            elif isinstance(g, int) and not isinstance(g, bool) and 0 <= g < self.rank:
                 out.add(g)
             else:
                 raise UnknownGenerator(f"generator {g!r} out of range")
-        return frozenset(out)
+        out = frozenset(out)
+        return self._label_sets.setdefault(out, out)
 
     def format_gens(self, gens) -> str:
         return "{" + ", ".join(self.labels[s] for s in sorted(gens)) + "}"
@@ -374,25 +413,23 @@ class GroupElement:
     @property
     def left_descents(self) -> frozenset[int]:
         """Generators s with l(s*w) < l(w): w^{-1}(alpha_s) is a negative root,
-        so its coordinates sum to <w(rho), alpha_s> < 0 for the all-ones
-        point rho."""
+        so <w(rho), alpha_s> < 0 for the all-ones point rho."""
         if self._left_descents is None:
             sys = self.system
-            coords = self.act_dual_coords((sys.field.one,) * sys.rank)
-            self._left_descents = frozenset(
-                s for s, c in enumerate(coords) if c.sign() < 0)
+            self._left_descents = sys._negative_set(self.act_dual_coords(sys._rho))
         return self._left_descents
 
     @property
     def right_descents(self) -> frozenset[int]:
-        """Generators t with l(w*t) < l(w): columns of the matrix that are
-        negative roots."""
+        """Generators t with l(w*t) < l(w): w(alpha_t) is a negative root, so
+        <w^{-1}(rho), alpha_t> < 0; w^{-1}(rho) applies the word first to
+        last."""
         if self._right_descents is None:
-            n = self.system.rank
-            M = self.matrix
-            self._right_descents = frozenset(
-                t for t in range(n)
-                if _first_sign(tuple(M[i][t] for i in range(n))) < 0)
+            sys = self.system
+            q = sys._rho
+            for s in self.word:
+                q = sys._apply_gen_dual(s, q)
+            self._right_descents = sys._negative_set(q)
         return self._right_descents
 
     def act(self, vec):

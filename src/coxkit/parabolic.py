@@ -113,7 +113,7 @@ def _intersect_stabilizer(p: Parabolic, coords, either_sign: bool = False) -> Pa
         if signs.count(-1) > signs.count(1):
             y = DualPoint(system, tuple(-c for c in y.coords))
     letters, final = _walk(y, sorted(p.gens), DEFAULT_STEP_CAP)
-    J = frozenset(s for s in p.gens if final[s].is_zero())
+    J = system.label_set(s for s in p.gens if final[s].is_zero())
     if J == p.gens:
         return p
     if not J:

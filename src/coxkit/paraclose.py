@@ -127,7 +127,7 @@ def _candidates(system: CoxeterSystem, radius: int):
     for size in range(n + 1):
         block = []
         for subset in combinations(range(n), size):
-            I = frozenset(subset)
+            I = system.label_set(subset)
             outside = [s for s in range(n) if s not in I]
             for w in elements:
                 if w.right_descents & I:

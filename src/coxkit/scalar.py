@@ -75,6 +75,19 @@ def double_cosine_poly(k: int) -> list[int]:
     return cur
 
 
+def double_cosine_polys(m: int):
+    """D_0, ..., D_m in order, each built once from the two before it by
+    D_{k+1} = x*D_k - D_{k-1}."""
+    prev, cur = [2], [0, 1]
+    yield prev
+    for _ in range(m):
+        yield cur
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+
+
 # ---------------------------------------------------------------------------
 # Coxeter matrix validation
 
@@ -163,9 +176,10 @@ def _theta_minpoly(L: int) -> list[int]:
     phi = _cyclotomic(2 * L)
     m = len(phi) // 2
     poly = [phi[m]] + [0] * m
-    for k in range(1, m + 1):
-        for i, c in enumerate(double_cosine_poly(k)):
-            poly[i] += phi[m + k] * c
+    for k, dk in enumerate(double_cosine_polys(m)):
+        if k and phi[m + k]:
+            for i, c in enumerate(dk):
+                poly[i] += phi[m + k] * c
     return poly
 
 

@@ -96,19 +96,12 @@ def _walk(f: DualPoint, gens, step_cap: int) -> tuple[list[int], tuple]:
     """
     if not isinstance(step_cap, int) or isinstance(step_cap, bool) or step_cap < 0:
         raise InvalidQuery(f"step cap {step_cap!r} is not a nonnegative integer")
-    system = f.system
-    coords = f.coords
-    letters = []
-    while True:
-        negative = next((s for s in gens if coords[s].sign() < 0), None)
-        if negative is None:
-            return letters, coords
-        if len(letters) >= step_cap:
-            raise StepCapExceeded(
-                f"no dominant representative within {step_cap} steps; "
-                "the point may lie outside the Tits cone")
-        coords = system._apply_gen_dual(negative, coords)
-        letters.append(negative)
+    walked = f.system._walk_dual(f.coords, gens, step_cap)
+    if walked is None:
+        raise StepCapExceeded(
+            f"no dominant representative within {step_cap} steps; "
+            "the point may lie outside the Tits cone")
+    return walked
 
 
 def locate(f: DualPoint, step_cap: int = DEFAULT_STEP_CAP) -> CellLocation:
@@ -122,7 +115,7 @@ def locate(f: DualPoint, step_cap: int = DEFAULT_STEP_CAP) -> CellLocation:
     """
     system = f.system
     letters, coords = _walk(f, range(system.rank), step_cap)
-    gens = frozenset(s for s, c in enumerate(coords) if c.is_zero())
+    gens = system.label_set(s for s, c in enumerate(coords) if c.is_zero())
     return CellLocation(system.normalize(letters), gens, DualPoint(system, coords))
 
 

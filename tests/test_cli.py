@@ -97,6 +97,16 @@ def test_verify_single_suite(capsys):
     assert "all suites passed" in out
 
 
+def test_verify_json_reports_seconds_per_suite(capsys):
+    code, out, _ = run(capsys, "--json", "verify", "--suite", "infinite-closure",
+                       "--suite", "product-orders")
+    assert code == 0
+    suites = json.loads(out)["result"]
+    assert [s["suite"] for s in suites] == ["infinite-closure", "product-orders"]
+    for s in suites:
+        assert isinstance(s["seconds"], float) and s["seconds"] >= 0
+
+
 def test_verify_unknown_suite_is_a_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--suite", "kernel", "--suite", "nope")
     assert (code, out) == (2, "")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,11 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coxkit import corpus
-from coxkit.coxgroup import (build_system, order_of_product, parse_group_file,
-                             serialize_group)
+from coxkit.coxgroup import (_first_sign, build_system, order_of_product,
+                             parse_group_file, serialize_group)
 from coxkit.errors import (InvalidMatrix, InvariantViolation, MixedSystems,
                            UnknownGenerator)
 from coxkit.oracle import enumerate_group
+from coxkit.parabolic import intersect, make
+from coxkit.paraclose import ClosureQuery, pc
+from coxkit.titscone import DualPoint, locate
 from coxkit.scalar import INFINITY
 
 from groupmodels import MODELS
@@ -255,3 +259,91 @@ def test_left_multiplication_by_a_generator_is_the_matrix_product(data):
     M = system.compose_matrix(word)
     for s in range(system.rank):
         assert system._gen_mul_left(s, M) == system._matmul(system._gen_matrices[s], M)
+
+
+# labels 3, 3 and inf: a hyperbolic triangle group outside the corpus
+_TRIANGLE = parse_group_file("rank 3\nlabels a b c\n1 3 inf\n3 1 3\ninf 3 1\n")
+_NORMALIZE_SYSTEMS = [corpus.load(name) for name in corpus.NAMES] + [_TRIANGLE]
+
+
+def _negative_columns(system, M):
+    n = system.rank
+    return frozenset(t for t in range(n) if _first_sign([M[i][t] for i in range(n)]) < 0)
+
+
+@given(st.data())
+def test_normalize_walk_matches_the_matrix_descent_recursion(data):
+    # independent route: M(w^{-1}) composed by row updates, then the descent
+    # recursion on its columns; M(w) composed by column updates
+    system = data.draw(st.sampled_from(_NORMALIZE_SYSTEMS))
+    word = data.draw(st.lists(st.integers(0, system.rank - 1), max_size=80))
+    N = system._identity_matrix
+    for s in word:
+        N = system._gen_mul_left(s, N)
+    g = system.normalize(word)
+    assert g.word == system._word_from_inverse_matrix(N)
+    assert g.left_descents == _negative_columns(system, N)
+    assert g.right_descents == _negative_columns(system, system.compose_matrix(word))
+
+
+# sha256 prefixes of the BFS layers' words as the matrix-based enumeration
+# produced them: finite groups whole, infinite ones through length 8
+_LAYER_DIGESTS = {
+    "a2": "053fddb346b4ee05",
+    "b2": "3fdf4fc787f25f46",
+    "g2": "9d97695c584824dc",
+    "a1xa1": "65111fd16c802a00",
+    "a3": "6367546dbd537aa5",
+    "b3": "99149b0efc92f7b7",
+    "h3": "f8bea99196459a23",
+    "dihedral_inf": "2941d52ea936cdaf",
+    "affine_a2": "6a69e7816d00becc",
+    "hyperbolic_334": "c4c10ce348b10286",
+}
+
+
+@pytest.mark.parametrize("name", corpus.NAMES)
+def test_enumeration_layers_unchanged(name):
+    # a fresh system, extended in two calls so that the second resumes
+    # from the points the first left
+    system = parse_group_file(corpus.source(name))
+    horizon = 100 if name in corpus.FINITE_NAMES else 8
+    system.elements_up_to(2)
+    layers, closed = system.elements_up_to(horizon)
+    assert closed == (name in corpus.FINITE_NAMES)
+    text = "|".join(" ".join("".join(map(str, g.word)) for g in layer) for layer in layers)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == _LAYER_DIGESTS[name]
+    for layer in layers:
+        for g in layer:
+            assert g.right_descents == _negative_columns(system, g.matrix)
+
+
+def test_label_set_shares_equal_subsets(b3):
+    I = b3.label_set([2, 0])
+    assert b3.label_set(["a", "c"]) is I
+    assert b3.label_set(frozenset({0, 2})) is I
+    assert b3.label_set((0, 2, 0)) is I
+    assert make(b3.element("b"), [0, 2]).gens is I
+    assert b3.label_set(()) is b3.label_set(frozenset())
+    p = make(b3.element("a b"), "ab")
+    q = make(b3.element("c"), "bc")
+    assert intersect(p, q).gens is b3.label_set(intersect(p, q).gens)
+    closure = pc(ClosureQuery([b3.element("a"), b3.element("c")], 16)).closure
+    assert closure.gens is I
+    assert locate(DualPoint(b3, (0, 1, 0))).gens is I
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_generator_indices_rejected(a2, flag):
+    with pytest.raises(UnknownGenerator):
+        a2.check_letters([flag])
+    with pytest.raises(UnknownGenerator):
+        a2.normalize([0, flag])
+    with pytest.raises(UnknownGenerator):
+        a2.label_set([flag])
+    with pytest.raises(UnknownGenerator):
+        a2.generator(flag)
+    with pytest.raises(UnknownGenerator):
+        make(a2.identity, [flag])
+    # the shared subset {1} holds the int, however it was first asked for
+    assert [type(s) for s in a2.label_set([int(flag)])] == [int]

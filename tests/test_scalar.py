@@ -16,7 +16,7 @@ from coxkit.errors import (CoxeterError, DimensionMismatch, IncompatibleOrder,
                            InvalidMatrix, InvariantViolation, IrrationalScalar,
                            MixedFields)
 from coxkit.scalar import (INFINITY, _isolating_interval, build_field, cos_pi_over,
-                           double_cosine_poly, validate_matrix)
+                           double_cosine_poly, double_cosine_polys, validate_matrix)
 
 INF = math.inf
 
@@ -149,6 +149,13 @@ def test_double_cosine_polynomials():
     assert double_cosine_poly(1) == [0, 1]
     assert double_cosine_poly(2) == [-2, 0, 1]
     assert double_cosine_poly(3) == [0, -3, 0, 1]
+
+
+def test_double_cosine_recurrence_matches_single_polynomials():
+    polys = list(double_cosine_polys(200))
+    assert len(polys) == 201
+    for k, dk in enumerate(polys):
+        assert dk == double_cosine_poly(k)
 
 
 # -- matrix validation ---------------------------------------------------------
