@@ -38,7 +38,10 @@ def _load_group(token: str) -> CoxeterSystem:
     if token in corpus.NAMES and os.sep not in token:
         return corpus.load(token)
     if os.path.exists(token):
-        return load_group_file(token)
+        try:
+            return load_group_file(token)
+        except OSError as exc:
+            raise UsageError(f"cannot read group file {token!r}: {exc.strerror}")
     names = ", ".join(corpus.NAMES)
     raise UsageError(f"unknown group {token!r}: not a corpus name ({names}) "
                      "and no such file")

@@ -225,10 +225,9 @@ class CoxeterSystem:
         return el
 
     def _word_from_inverse_matrix(self, N, step_cap=_NORMALIZE_STEP_CAP):
-        """Greedy descent recursion.  N is the matrix of w^{-1}; emits the
-        ShortLex-least reduced word of w, or None if the walk does not reach
-        the identity within the cap (which cannot happen for group matrices).
-        """
+        """Greedy descent recursion on the matrix N of w^{-1}, the reference
+        route for the walks: emits the ShortLex-least reduced word of w, or
+        None if the walk does not reach the identity within the cap."""
         n = self.rank
         word = []
         for _ in range(step_cap):
@@ -314,12 +313,6 @@ class CoxeterSystem:
 
     # -- misc ---------------------------------------------------------------------
 
-    def pairing(self, coords, vec) -> FieldScalar:
-        """<f, v> for a dual point given by coordinates f_s = <f, alpha_s>."""
-        if len(coords) != self.rank or len(vec) != self.rank:
-            raise DimensionMismatch("coordinate length does not match the rank")
-        return sum((c * v for c, v in zip(coords, vec)), self.field.zero)
-
     def form_value(self, u, v) -> FieldScalar:
         """Bilinear form (u, v) on simple-root coordinates."""
         if len(u) != self.rank or len(v) != self.rank:
@@ -395,16 +388,11 @@ class GroupElement:
             self._matrix = self.system.compose_matrix(self.word)
         return self._matrix
 
-    def _check_same_system(self, other: "GroupElement") -> None:
-        if not isinstance(other, GroupElement):
-            raise TypeError("expected a group element")
-        if other.system is not self.system:
-            raise MixedSystems("elements belong to different systems")
-
     def __mul__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        self._check_same_system(other)
+        if other.system is not self.system:
+            raise MixedSystems("elements belong to different systems")
         return self.system.normalize(self.word + other.word)
 
     def inverse(self) -> "GroupElement":
@@ -452,20 +440,24 @@ class GroupElement:
             out = sys._apply_gen_dual(s, out)
         return out
 
-    def fixes_dual_coords(self, coords) -> bool:
-        """Whether the dual action fixes the point f.  w and w^{-1} fix the
-        same points, and <w^{-1} f, alpha_t> = <f, w(alpha_t)>, so f is fixed
-        iff it pairs with each column t of the matrix to f_t; decided column
-        by column with early exit."""
+    def root_pairings(self, coords):
+        """The pairings <f, w(alpha_t)> = <w^{-1} f, alpha_t> of the dual point
+        f with the roots w(alpha_t), the matrix columns, lazily in t order."""
+        sys = self.system
+        if len(coords) != sys.rank:
+            raise DimensionMismatch("coordinate length does not match the rank")
         M = self.matrix
-        zero = self.system.field.zero
+        zero = sys.field.zero
         for t in range(len(M)):
             acc = zero
             for row, c in zip(M, coords):
                 acc = acc + row[t] * c
-            if acc != coords[t]:
-                return False
-        return True
+            yield acc
+
+    def fixes_dual_coords(self, coords) -> bool:
+        """Whether the dual action fixes the point f, as w^{-1} does: iff
+        <f, w(alpha_t)> = f_t for every t, decided with early exit."""
+        return all(p == c for p, c in zip(self.root_pairings(coords), coords))
 
     def __eq__(self, other):
         if isinstance(other, GroupElement):
@@ -566,5 +558,8 @@ def serialize_group(system: CoxeterSystem) -> str:
 
 
 def load_group_file(path) -> CoxeterSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_group_file(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_group_file(fh.read())
+    except UnicodeDecodeError:
+        raise InvalidMatrix(f"group file {str(path)!r} is not UTF-8 text") from None

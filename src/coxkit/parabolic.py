@@ -2,18 +2,18 @@
 
 A parabolic subgroup is stored as (rep, gens, base_point) where rep is the
 shortest element of the coset rep*W_I and base_point = rep(f_I) marks the
-face of the Tits cone whose stabilizer the subgroup is.  The subgroup is
-generated by the reflections in the roots rep(alpha_s), s in gens, the
-columns of rep's matrix.  Membership is an exact fixed-point test,
-containment and equality are exact pairings of those roots with a base
-point, and intersection is one walk restricted to W_I.
+face of the Tits cone whose stabilizer the subgroup is; locate's walk of
+that point finds rep.  The subgroup is generated by the reflections in the
+roots rep(alpha_s), s in gens.  Membership is an exact fixed-point test,
+containment and equality pair a base point with those roots, and
+intersection is one walk restricted to W_I.
 """
 
 from __future__ import annotations
 
 from .coxgroup import CoxeterSystem, GroupElement
-from .errors import MixedSystems
-from .titscone import DEFAULT_STEP_CAP, DualPoint, _walk, fundamental_point
+from .errors import InvariantViolation, MixedSystems
+from .titscone import DEFAULT_STEP_CAP, DualPoint, _walk, fundamental_point, locate
 
 
 class Parabolic:
@@ -48,9 +48,8 @@ class Parabolic:
         0 with it."""
         if other.system is not self.system:
             raise MixedSystems("subgroups belong to different systems")
-        M = other.rep.matrix
-        return all(self.base_point.pairing(tuple(row[s] for row in M)).is_zero()
-                   for s in other.gens)
+        pairings = other.rep.root_pairings(self.base_point.coords)
+        return all(p.is_zero() for s, p in enumerate(pairings) if s in other.gens)
 
     def equals(self, other: "Parabolic") -> bool:
         return self.contains(other) and other.contains(self)
@@ -64,17 +63,22 @@ class Parabolic:
 
 
 def make(w: GroupElement, gens) -> Parabolic:
-    """The parabolic w W_I w^{-1}, with w replaced by the shortest element of
-    its coset w*W_I (repeatedly strip right descents lying in the subset)."""
+    """The parabolic w W_I w^{-1}, with w replaced by the shortest element x
+    of its coset w*W_I, read off the walk of w(f_I) = x(f_I) by locate.
+
+    If x^{-1}(alpha_s) < 0 it lies outside Phi_I (else s*x, in x*W_I, would
+    be shorter than x), so <x(f_I), alpha_s> < 0 exactly when s is a left
+    descent of x; s*x is again shortest in its coset, so the walk is the
+    descent recursion of x, as in normalize, and takes l(x) <= l(w) steps.
+    """
     system = w.system
     I = system.label_set(gens)
-    while True:
-        descents = w.right_descents & I
-        if not descents:
-            break
-        w = w * system.generator(min(descents))
-    base = fundamental_point(system, I).transformed_by(w)
-    return Parabolic(w, I, base)
+    f = fundamental_point(system, I)
+    base = f.transformed_by(w)
+    loc = locate(base, len(w.word))
+    if loc.gens != I or loc.point != f:
+        raise InvariantViolation("the walk of w(f_I) did not end at f_I")
+    return Parabolic(loc.w, I, base)
 
 
 def intersect(p1: Parabolic, p2: Parabolic) -> Parabolic:
@@ -89,10 +93,9 @@ def _intersect_stabilizer(p: Parabolic, coords, either_sign: bool = False) -> Pa
     """The subgroup of p = w W_I w^{-1} fixing the dual point v with the given
     pairings: w (W_I & Stab(y)) w^{-1} for y = w^{-1}(v).
 
-    The pairings of y are <v, w(alpha_t)>, pairings with the columns of w's
-    matrix.  Walking y with the generators of I alone ends at a point
-    y' = u^{-1}(y), u in W_I, that pairs nonnegatively with alpha_s for every
-    s in I; its stabilizer in W_I is W_J, J the generators of I pairing to 0
+    The pairings of y are w's root pairings <v, w(alpha_t)>.  Walking y with
+    the generators of I alone ends at a point y' = u^{-1}(y), u in W_I, that
+    pairs nonnegatively with alpha_s for every s in I; its stabilizer in W_I is W_J, J the generators of I pairing to 0
     with it (Humphreys 1990, 5.13, for W_I).  So the answer is
     (w u) W_J (w u)^{-1}, and p itself when J = I.  The walk ends when W_I is
     finite or v lies in the Tits cone: only finitely many positive roots pair
@@ -105,9 +108,7 @@ def _intersect_stabilizer(p: Parabolic, coords, either_sign: bool = False) -> Pa
     shorter representative.
     """
     system = p.system
-    M = p.rep.matrix
-    y = DualPoint(system, tuple(system.pairing(coords, tuple(row[t] for row in M))
-                                for t in range(system.rank)))
+    y = DualPoint(system, p.rep.root_pairings(coords))
     if either_sign:
         signs = [y.coords[s].sign() for s in p.gens]
         if signs.count(-1) > signs.count(1):

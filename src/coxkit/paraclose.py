@@ -222,9 +222,8 @@ def _certify(system: CoxeterSystem, basis) -> Parabolic | None:
         closure = _intersect_stabilizer(closure, v, either_sign=True)
     # the certificate: the reflections in the roots rep(alpha_s) generating
     # the closure fix every projected basis vector
-    M = closure.rep.matrix
-    if any(system.pairing(v, tuple(row[s] for row in M))
-           for s in closure.gens for v in projected):
+    if any(p for v in projected
+           for s, p in enumerate(closure.rep.root_pairings(v)) if s in closure.gens):
         raise InvariantViolation("rank descent left a fixed point unfixed")
     # letters of the components that J = closure.gens misses commute with W_J
     touched = {s for c in components if closure.gens.intersection(c.gens) for s in c.gens}

@@ -98,24 +98,20 @@ def root_of(w: GroupElement, s: int) -> Root:
 
 def reflection_matrix(root: Root):
     """Matrix of v -> v - 2*(alpha, v)*alpha for alpha = root."""
-    system = root.system
-    n = system.rank
-    cols = []
-    for j in range(n):
-        pairing = system.form_value(root.coords, system.basis_vector(j))
-        col = [system.field.one if i == j else system.field.zero for i in range(n)]
-        p2 = pairing + pairing
-        cols.append([c - p2 * a for c, a in zip(col, root.coords)])
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    identity = root.system._identity_matrix
+    twice = [p + p for p in (root.system.form_value(root.coords, e) for e in identity)]
+    return tuple(tuple(x - p2 * a for x, p2 in zip(row, twice))
+                 for row, a in zip(identity, root.coords))
 
 
 def reflection_of_root(root: Root) -> Reflection:
     """The reflection negating a positive root, as a canonical group element.
 
-    The word is recovered by running the descent recursion directly on the
-    reflection's matrix (a reflection is its own inverse).  Defensively, the
-    walk failing to reach the identity, or the recovered element's matrix
-    differing from the reflection matrix, raises NotARoot.
+    The column sums of T = reflection_matrix(root) are <rho, T(alpha_s)> =
+    <T(rho), alpha_s> (T is an involution), and walking T(rho) back to rho
+    spells T's canonical word, as in normalize.  For a vector that is not a
+    root the walk hits the cap, ends away from rho, or spells an element
+    whose matrix is not T, and each raises NotARoot.
     """
     system = root.system
     if root.sign < 0:
@@ -123,10 +119,11 @@ def reflection_of_root(root: Root) -> Reflection:
     if root.norm() != 1:
         raise NotARoot(f"vector {root} does not have unit norm")
     T = reflection_matrix(root)
-    word = system._word_from_inverse_matrix(T, step_cap=_REFLECTION_WORD_CAP)
-    if word is None:
+    q = tuple(map(sum, zip(*T)))
+    walked = system._walk_dual(q, range(system.rank), _REFLECTION_WORD_CAP)
+    if walked is None or walked[1] != system._rho:
         raise NotARoot(f"vector {root} is not a root of the system")
-    element = system._element(word)
+    element = system._element(tuple(walked[0]))
     if element.matrix != T:
         raise NotARoot(f"vector {root} is not a root of the system")
     return Reflection(element, root)

@@ -63,16 +63,10 @@ def _poly_interval_eval(p, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fracti
 
 def double_cosine_poly(k: int) -> list[int]:
     """Integer coefficients of D_k, the degree-k polynomial with
-    D_k(2*cos x) = 2*cos(k*x)."""
-    if k == 0:
-        return [2]
-    prev, cur = [2], [0, 1]
-    for _ in range(k - 1):
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return cur
+    D_k(2*cos x) = 2*cos(k*x): the last of double_cosine_polys(k)."""
+    for dk in double_cosine_polys(k):
+        pass
+    return dk
 
 
 def double_cosine_polys(m: int):

@@ -37,10 +37,6 @@ class DualPoint:
         self.system = system
         self.coords = tuple(map(system.field.coerce, coords))
 
-    def pairing(self, vec):
-        """<f, v> for a vector v in simple-root coordinates."""
-        return self.system.pairing(self.coords, vec)
-
     def transformed_by(self, w: GroupElement) -> "DualPoint":
         if w.system is not self.system:
             raise MixedSystems("element and point belong to different systems")
@@ -120,10 +116,13 @@ def locate(f: DualPoint, step_cap: int = DEFAULT_STEP_CAP) -> CellLocation:
 
 
 def stabilizer(f: DualPoint, step_cap: int = DEFAULT_STEP_CAP):
-    """The stabilizer of a point of the Tits cone, as a parabolic subgroup."""
-    from .parabolic import make
+    """The stabilizer w W_I w^{-1} of a point f = w(f0), f0 in C_I, of the
+    Tits cone.  f and w(f_I) pair with every root with the same sign, so
+    their walks agree, and locate's w is already shortest in w*W_I (make)."""
+    from .parabolic import Parabolic
     loc = locate(f, step_cap)
-    return make(loc.w, loc.gens)
+    base = fundamental_point(f.system, loc.gens).transformed_by(loc.w)
+    return Parabolic(loc.w, loc.gens, base)
 
 
 # -- the type of the cone ---------------------------------------------------------

@@ -35,3 +35,15 @@ def b3():
 def dinf():
     from coxkit import corpus
     return corpus.load("dihedral_inf")
+
+
+@pytest.fixture(scope="session")
+def walk_systems():
+    """The corpus groups and the 3,3,inf triangle group, whose cone is not
+    classified: the systems the chamber-walk routes are checked over."""
+    from coxkit import corpus
+    from coxkit.coxgroup import build_system
+    inf = float("inf")
+    systems = dict(corpus.all_systems())
+    systems["triangle_33inf"] = build_system([[1, 3, 3], [3, 1, inf], [3, inf, 1]])
+    return systems

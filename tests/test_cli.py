@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coxkit
 from coxkit import corpus
 from coxkit.cli import main
 
@@ -10,6 +15,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """The command line in a fresh interpreter, importing this checkout's
+    coxkit, so that an uncaught exception shows as a traceback on stderr."""
+    src = str(Path(coxkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "coxkit.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
 
 
 # -- golden outputs ------------------------------------------------------------
@@ -160,6 +176,20 @@ def test_invalid_file_is_domain_error(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 1
     assert err.startswith("InvalidMatrix:")
+
+
+def test_directory_as_group_file_is_usage_error(tmp_path):
+    code, _, err = run_process("validate", str(tmp_path))
+    assert code == 2
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
+def test_non_utf8_group_file_is_domain_error(tmp_path):
+    bad = tmp_path / "bytes.cox"
+    bad.write_bytes(b"rank 1\nlabels s\n1\xff\n")
+    code, _, err = run_process("validate", str(bad))
+    assert code == 1
+    assert err.startswith("InvalidMatrix:") and "Traceback" not in err
 
 
 def test_decimal_rejected_as_usage_error(capsys):

@@ -2,11 +2,14 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coxkit import corpus
 from coxkit.errors import MixedSystems
 from coxkit.oracle import enumerate_group
 from coxkit.parabolic import (conjugacy_normalize, intersect, make)
+from coxkit.titscone import fundamental_point
 
 
 def full(system):
@@ -31,6 +34,28 @@ def test_full_subset_always_has_identity_representative(a2):
     P = make(a2.element("t s"), full(a2))
     assert P.rep.is_identity
     assert P.rank == 2
+
+
+def strip_right_descents(w, I):
+    """Reference route to the shortest element of w*W_I: strip the smallest
+    right descent in I until none is left."""
+    while True:
+        descents = w.right_descents & I
+        if not descents:
+            return w
+        w = w * w.system.generator(min(descents))
+
+
+@given(st.data())
+def test_make_matches_descent_stripping(walk_systems, data):
+    system = walk_systems[data.draw(st.sampled_from(sorted(walk_systems)))]
+    gens = st.integers(0, system.rank - 1)
+    w = system.normalize(data.draw(st.lists(gens, max_size=20)))
+    I = frozenset(data.draw(st.sets(gens)))
+    P = make(w, I)
+    assert P.rep is strip_right_descents(w, I)
+    assert P.gens == I
+    assert P.base_point == fundamental_point(system, I).transformed_by(w)
 
 
 # -- membership ---------------------------------------------------------------------

@@ -6,8 +6,8 @@ from coxkit import corpus
 from coxkit.errors import (CoxeterError, MixedFields, NotARoot,
                            RootSignViolation, SupportNotContained)
 from coxkit.roots import (Root, descend_root, enumerate_roots,
-                          reflection_of_root, root_of, root_depths,
-                          simple_root)
+                          reflection_matrix, reflection_of_root, root_of,
+                          root_depths, simple_root)
 
 
 def rational_root(system, *values):
@@ -89,6 +89,28 @@ def test_reflection_rejects_negative_root(a2):
 def test_reflection_rejects_non_unit_vector(a2):
     with pytest.raises(NotARoot):
         reflection_of_root(rational_root(a2, 2, 0))
+
+
+@pytest.mark.parametrize("name, values", [
+    ("a2", (Fraction(8, 7), Fraction(3, 7))),
+    ("affine_a2", (Fraction(3, 2), Fraction(1, 2), Fraction(1, 2))),
+    # the walk of T(rho) reaches rho here, so only the matrix check rejects it
+    ("dihedral_inf", (Fraction(3, 2), Fraction(1, 2))),
+])
+def test_reflection_rejects_unit_norm_non_root(name, values):
+    # positive and of norm 1: past the sign and norm checks
+    vector = rational_root(corpus.load(name), *values)
+    assert vector.is_positive() and vector.norm() == 1
+    with pytest.raises(NotARoot):
+        reflection_of_root(vector)
+
+
+def test_reflection_words_match_matrix_route(walk_systems):
+    # reference: the descent recursion on the columns of the reflection matrix
+    for name, system in walk_systems.items():
+        for root in enumerate_roots(system, 6):
+            word = system._word_from_inverse_matrix(reflection_matrix(root))
+            assert reflection_of_root(root).element.word == word, (name, root)
 
 
 def test_reflections_are_involutions(b2):

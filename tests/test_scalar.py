@@ -151,11 +151,16 @@ def test_double_cosine_polynomials():
     assert double_cosine_poly(3) == [0, -3, 0, 1]
 
 
-def test_double_cosine_recurrence_matches_single_polynomials():
+def test_double_cosine_recurrence_matches_closed_form():
+    # D_k = sum_j (-1)^j k/(k-j) C(k-j, j) x^(k-2j) for k >= 1
     polys = list(double_cosine_polys(200))
     assert len(polys) == 201
-    for k, dk in enumerate(polys):
-        assert dk == double_cosine_poly(k)
+    assert polys[0] == double_cosine_poly(0) == [2]
+    for k in range(1, 201):
+        closed = [0] * (k + 1)
+        for j in range(k // 2 + 1):
+            closed[k - 2 * j] = (-1) ** j * Fraction(k, k - j) * math.comb(k - j, j)
+        assert polys[k] == closed == double_cosine_poly(k)
 
 
 # -- matrix validation ---------------------------------------------------------

@@ -9,7 +9,6 @@ from coxkit.coxgroup import build_system
 from coxkit.errors import (CoxeterError, DimensionMismatch, InvalidQuery,
                            MixedFields, MixedSystems, StepCapExceeded)
 from coxkit.oracle import enumerate_group
-from coxkit.parabolic import make
 from coxkit.titscone import (DualPoint, cone_components, fundamental_point,
                              locate, stabilizer)
 
@@ -140,9 +139,21 @@ def test_origin_is_stabilized_by_everything(a2):
     assert P.rep.is_identity
 
 
+def assert_is_conjugate(P, w, I):
+    """P is w W_I w^{-1}, checked without the chamber walk: its rep is the
+    shortest element of w*W_I, and its element set is the oracle's literal
+    w W_I w^{-1}."""
+    assert P.gens == I
+    assert not P.rep.right_descents & I
+    assert set((P.rep.inverse() * w).word) <= I
+    table = enumerate_group(w.system)
+    literal = table.conjugate_set(table.index[w], table.special_subgroup(I))
+    assert table.subgroup_elements(P) == literal
+
+
 def test_wall_point_stabilizer(a2):
     P = stabilizer(fundamental_point(a2, frozenset({0})))
-    assert P.equals(make(a2.identity, frozenset({0})))
+    assert_is_conjugate(P, a2.identity, frozenset({0}))
 
 
 def test_stabilizer_of_transformed_point():
@@ -150,7 +161,9 @@ def test_stabilizer_of_transformed_point():
     w = system.element("s t s")
     I = frozenset({1})
     f = fundamental_point(system, I).transformed_by(w)
-    assert stabilizer(f).equals(make(w, I))
+    P = stabilizer(f)
+    assert_is_conjugate(P, w, I)
+    assert P.rep is w and P.base_point == f
 
 
 
