@@ -8,8 +8,11 @@ every simple root) has trivial stabilizer, so w is determined by w(rho).
 Elements store the ShortLex-least reduced word, recovered by the descent
 recursion: the smallest s with l(s*w) < l(w) is the smallest s with
 <w(rho), alpha_s> = <rho, w^{-1}(alpha_s)> < 0, so the word is the walk of
-w(rho) back to rho, one dual step per letter.  Matrices are built only where
-a linear map is needed: fixed points, containment and roots.
+w(rho) back to rho, one dual step per letter.  A generator step, on a vector
+or on a dual point, goes through the Coxeter-graph neighbours of s: the form
+pairs alpha_s with alpha_t to 0 when m_st = 2, so every coordinate of a
+commuting generator is left as it is.  Matrices are built only where a
+linear map is needed: fixed points, containment and roots.
 """
 
 from __future__ import annotations
@@ -120,19 +123,29 @@ class CoxeterSystem:
     # -- fast generator actions ----------------------------------------------
 
     def _apply_gen_vec(self, s: int, vec):
-        """sigma_s applied to a vector in simple-root coordinates."""
-        B = self.form[s]
-        pairing = sum((b * v for b, v in zip(B, vec)), self.field.zero)
+        """sigma_s applied to a vector in simple-root coordinates: only v_s
+        changes, to v_s - 2*B(alpha_s, v) = -v_s - sum c * v_t over the
+        neighbours (t, c) of s, as 2*B[s][s] = 2.  Every other coordinate
+        comes back as the same object."""
+        acc = -vec[s]
+        for t, c in self._neighbours[s]:
+            acc = acc - c * vec[t]
         out = list(vec)
-        out[s] = out[s] - 2 * pairing
+        out[s] = acc
         return tuple(out)
 
     def _apply_gen_dual(self, s: int, coords):
         """The dual action of sigma_s on a point given by its pairings with
-        the simple roots: f_t -> f_t - 2*B[s][t]*f_s."""
-        B = self.form[s]
-        fs2 = coords[s] + coords[s]
-        return tuple(c - b * fs2 for c, b in zip(coords, B))
+        the simple roots: f_t -> f_t - 2*B[s][t]*f_s.  That is f_s -> -f_s,
+        f_t -> f_t - c * f_s for the neighbours (t, c) of s, and nothing for
+        a commuting t, whose coordinate (and cached sign) is kept as the
+        same object."""
+        fs = coords[s]
+        out = list(coords)
+        out[s] = -fs
+        for t, c in self._neighbours[s]:
+            out[t] = coords[t] - c * fs
+        return tuple(out)
 
     def _walk_dual(self, coords, gens, step_cap: int):
         """Walk a dual point with the generators gens, given in increasing
@@ -325,6 +338,15 @@ class CoxeterSystem:
                                          self.field.zero)
         return total
 
+    def _field_coords(self, coords) -> tuple[FieldScalar, ...]:
+        """coords as a tuple of scalars of this system's field, one per
+        generator: ints and Fractions are converted, anything else raises
+        MixedFields."""
+        coords = tuple(coords)
+        if len(coords) != self.rank:
+            raise DimensionMismatch("coordinate length does not match the rank")
+        return tuple(map(self.field.coerce, coords))
+
     def basis_vector(self, s: int):
         return tuple(self.field.one if i == s else self.field.zero
                      for i in range(self.rank))
@@ -421,31 +443,29 @@ class GroupElement:
         return self._right_descents
 
     def act(self, vec):
-        """Image of a vector in simple-root coordinates under this element."""
+        """Image of a vector in simple-root coordinates under this element.
+        Coordinates are coerced into the system's field, as for Root."""
         sys = self.system
-        if len(vec) != sys.rank:
-            raise DimensionMismatch("vector length does not match the rank")
-        out = tuple(vec)
+        out = sys._field_coords(vec)
         for s in reversed(self.word):
             out = sys._apply_gen_vec(s, out)
         return out
 
     def act_dual_coords(self, coords):
-        """Dual action on pairing coordinates: <w f, alpha_t> = <f, w^{-1} alpha_t>."""
+        """Dual action on pairing coordinates: <w f, alpha_t> = <f, w^{-1} alpha_t>.
+        Coordinates are coerced into the system's field, as for DualPoint."""
         sys = self.system
-        if len(coords) != sys.rank:
-            raise DimensionMismatch("coordinate length does not match the rank")
-        out = tuple(coords)
+        out = sys._field_coords(coords)
         for s in reversed(self.word):
             out = sys._apply_gen_dual(s, out)
         return out
 
     def root_pairings(self, coords):
         """The pairings <f, w(alpha_t)> = <w^{-1} f, alpha_t> of the dual point
-        f with the roots w(alpha_t), the matrix columns, lazily in t order."""
+        f with the roots w(alpha_t), the matrix columns, lazily in t order.
+        Coordinates are coerced into the system's field, as for DualPoint."""
         sys = self.system
-        if len(coords) != sys.rank:
-            raise DimensionMismatch("coordinate length does not match the rank")
+        coords = sys._field_coords(coords)
         M = self.matrix
         zero = sys.field.zero
         for t in range(len(M)):

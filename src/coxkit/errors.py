@@ -14,6 +14,11 @@ class InvalidMatrix(CoxeterError):
     """The given matrix is not a Coxeter matrix (or a group file is malformed)."""
 
 
+class FieldTooLarge(CoxeterError):
+    """The field Q(2cos(pi/L)) a Coxeter matrix needs has a degree above the
+    cap (scalar.MAX_FIELD_DEGREE)."""
+
+
 class IncompatibleOrder(CoxeterError):
     """cos(pi/m) is not representable in this field (finite m not dividing L)."""
 

@@ -106,7 +106,8 @@ def _candidates(system: CoxeterSystem, radius: int):
     """Candidate parabolics (gens, w, base point coords) with w coset-minimal
     of length <= radius, in one block per rank, each block ordered by
     (length, word, subset).  Returns (blocks, closed); cached per system and
-    radius.
+    radius.  The rank-0 block is left empty: its candidates contain only the
+    identity, which no caller scans for.
 
     The matrix of w^{-1} is carried down the BFS, (w s)^{-1} = s w^{-1} being
     one row update of the parent's.  Its column t is w^{-1}(alpha_t), so the
@@ -123,8 +124,8 @@ def _candidates(system: CoxeterSystem, radius: int):
         inverses[w.word] = system._gen_mul_left(w.word[-1], inverses[w.word[:-1]])
     n = system.rank
     zero = system.field.zero
-    blocks = []
-    for size in range(n + 1):
+    blocks = [()]
+    for size in range(1, n + 1):
         block = []
         for subset in combinations(range(n), size):
             I = system.label_set(subset)
@@ -276,9 +277,6 @@ def scan_closure(query: ClosureQuery) -> ClosureResult:
     refinements = []
     minimal_rank = None
     for gens, w, point_coords in chain.from_iterable(blocks):
-        if not gens:
-            # rank-0 candidates only contain the identity, excluded above
-            continue
         if minimal_rank is not None and current.rank == minimal_rank:
             break
         if not all(g.fixes_dual_coords(point_coords) for g in elements):

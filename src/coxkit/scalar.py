@@ -25,10 +25,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import (DimensionMismatch, IncompatibleOrder, InvalidMatrix,
-                     InvariantViolation, IrrationalScalar, MixedFields)
+from .errors import (DimensionMismatch, FieldTooLarge, IncompatibleOrder,
+                     InvalidMatrix, InvariantViolation, IrrationalScalar, MixedFields)
 
 INFINITY = math.inf  # Coxeter matrix entry for an unbounded product order
+
+# The largest field degree build_field accepts.  A product of two scalars
+# costs O(degree^2) Fraction operations, and building the field grows faster
+# still: on a 2-vCPU Xeon VM with Python 3.11, L = 2520 (every label up to
+# 10, degree 576) builds in 4 s, labels 11, 13 and 17 (L = 2431, degree 960)
+# in 14 s, and a prime label near 10^6 had not finished after 60 s.
+MAX_FIELD_DEGREE = 600
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -502,12 +509,23 @@ def build_field(coxeter_matrix) -> FieldContext:
     Phi_{2L} folded into x = z + 1/z, built with integer arithmetic only;
     theta is its largest real root, isolated in closed form
     (_isolating_interval).
+
+    The degree of that field is phi(2L)/2 for L >= 3; above MAX_FIELD_DEGREE
+    it raises FieldTooLarge before anything is built.  phi(k) >= sqrt(k/2)
+    for every k, so the degree is at least sqrt(L)/2, and an L above
+    4 * MAX_FIELD_DEGREE^2 is rejected without factoring 2L.
     """
     matrix = validate_matrix(coxeter_matrix)
     L = _cosine_order_lcm(matrix)
+    if L > 4 * MAX_FIELD_DEGREE ** 2:
+        raise FieldTooLarge(f"labels with lcm {L} need a field of degree above "
+                            f"{MAX_FIELD_DEGREE}")
+    expected = _totient(2 * L) // 2 if L >= 3 else 1
+    if expected > MAX_FIELD_DEGREE:
+        raise FieldTooLarge(f"labels with lcm {L} need a field of degree {expected}, "
+                            f"above {MAX_FIELD_DEGREE}")
     minpoly = tuple(Fraction(c) for c in _theta_minpoly(L))
     ctx = FieldContext(L, minpoly, _isolating_interval(minpoly, L))
-    expected = _totient(2 * L) // 2 if L >= 3 else 1
     if ctx.degree != expected:
         raise InvariantViolation("minimal polynomial has unexpected degree")
     if not ctx.evaluate_int_poly(ctx.minpoly).is_zero():

@@ -16,8 +16,7 @@ product of its components' cones.
 from __future__ import annotations
 
 from .coxgroup import CoxeterSystem, GroupElement
-from .errors import (DimensionMismatch, InvalidQuery, InvariantViolation,
-                     MixedSystems, StepCapExceeded)
+from .errors import InvalidQuery, InvariantViolation, MixedSystems, StepCapExceeded
 
 DEFAULT_STEP_CAP = 10000
 
@@ -31,11 +30,8 @@ class DualPoint:
     __slots__ = ("system", "coords")
 
     def __init__(self, system: CoxeterSystem, coords):
-        coords = tuple(coords)
-        if len(coords) != system.rank:
-            raise DimensionMismatch("coordinate length does not match the rank")
         self.system = system
-        self.coords = tuple(map(system.field.coerce, coords))
+        self.coords = system._field_coords(coords)
 
     def transformed_by(self, w: GroupElement) -> "DualPoint":
         if w.system is not self.system:

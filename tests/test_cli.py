@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,21 @@ def test_non_utf8_group_file_is_domain_error(tmp_path):
     code, _, err = run_process("validate", str(bad))
     assert code == 1
     assert err.startswith("InvalidMatrix:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows", [
+    ["1 1000003", "1000003 1"],
+    ["1 11 2 2", "11 1 13 2", "2 13 1 17", "2 2 17 1"],
+])
+def test_oversized_field_is_domain_error(tmp_path, rows):
+    path = tmp_path / "big.cox"
+    labels = " ".join("abcd"[:len(rows)])
+    path.write_text(f"rank {len(rows)}\nlabels {labels}\n" + "\n".join(rows) + "\n")
+    start = time.monotonic()
+    code, _, err = run_process("validate", str(path))
+    assert time.monotonic() - start < 5
+    assert code == 1
+    assert err.startswith("FieldTooLarge:") and "Traceback" not in err
 
 
 def test_decimal_rejected_as_usage_error(capsys):

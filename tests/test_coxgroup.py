@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from coxkit import corpus
 from coxkit.coxgroup import (_first_sign, build_system, order_of_product,
                              parse_group_file, serialize_group)
-from coxkit.errors import (InvalidMatrix, InvariantViolation, MixedSystems,
-                           UnknownGenerator)
+from coxkit.errors import (DimensionMismatch, InvalidMatrix, InvariantViolation,
+                           MixedFields, MixedSystems, UnknownGenerator)
 from coxkit.oracle import enumerate_group
 from coxkit.parabolic import intersect, make
 from coxkit.paraclose import ClosureQuery, pc
 from coxkit.titscone import DualPoint, locate
-from coxkit.scalar import INFINITY
+from coxkit.scalar import INFINITY, FieldScalar
 
 from groupmodels import MODELS
 
@@ -75,6 +75,30 @@ def test_infinite_dihedral_product_action(dinf):
     three = dinf.field.from_rational(3)
     two = dinf.field.from_rational(2)
     assert image == (three, two)
+
+
+_ACTIONS = {
+    "act": lambda g, coords: g.act(coords),
+    "act_dual_coords": lambda g, coords: g.act_dual_coords(coords),
+    "root_pairings": lambda g, coords: tuple(g.root_pairings(coords)),
+}
+
+
+@pytest.mark.parametrize("action", sorted(_ACTIONS))
+@pytest.mark.parametrize("word", ["", "a", "a b"])
+def test_action_coordinates_are_coerced_into_the_field(action, word):
+    h3 = corpus.load("h3")
+    g, apply = h3.element(word), _ACTIONS[action]
+    for coords in [(1, 0, 0), (1, 1, 1), (Fraction(1, 2), -1, Fraction(-7, 3))]:
+        out = apply(g, coords)
+        assert all(type(c) is FieldScalar and c.ctx is h3.field for c in out)
+        assert out == apply(g, tuple(map(h3.field.coerce, coords)))
+        assert all(c.sign() in (-1, 0, 1) for c in out)
+    for bad in [(1.0, 0, 0), (1, corpus.load("b3").field.one, 0)]:
+        with pytest.raises(MixedFields):
+            apply(g, bad)
+    with pytest.raises(DimensionMismatch):
+        apply(g, (1, 0))
 
 
 # -- normal forms --------------------------------------------------------------
@@ -264,6 +288,35 @@ def test_left_multiplication_by_a_generator_is_the_matrix_product(data):
 # labels 3, 3 and inf: a hyperbolic triangle group outside the corpus
 _TRIANGLE = parse_group_file("rank 3\nlabels a b c\n1 3 inf\n3 1 3\ninf 3 1\n")
 _NORMALIZE_SYSTEMS = [corpus.load(name) for name in corpus.NAMES] + [_TRIANGLE]
+
+# labels 3, 4, 3 and inf on a square: a, c and b, d commute
+_SQUARE = parse_group_file(
+    "rank 4\nlabels a b c d\n1 3 2 inf\n3 1 4 2\n2 4 1 3\ninf 2 3 1\n")
+
+
+@st.composite
+def _field_points(draw, system):
+    coeffs = st.lists(st.fractions(-3, 3, max_denominator=4),
+                      min_size=system.field.degree, max_size=system.field.degree)
+    return tuple(system.field.scalar(draw(coeffs)) for _ in range(system.rank))
+
+
+@given(st.data())
+def test_generator_actions_through_the_neighbour_table(data):
+    # the dense routes: f_t - 2B[s][t]*f_s on a dual point, and the generator
+    # matrix times a vector
+    system = data.draw(st.sampled_from(_NORMALIZE_SYSTEMS + [_SQUARE]))
+    f = data.draw(_field_points(system))
+    n, zero = system.rank, system.field.zero
+    for s in range(n):
+        dual = system._apply_gen_dual(s, f)
+        assert dual == tuple(f[t] - 2 * system.form[s][t] * f[s] for t in range(n))
+        M = system._gen_matrices[s]
+        vec = system._apply_gen_vec(s, f)
+        assert vec == tuple(sum((M[i][j] * f[j] for j in range(n)), zero) for i in range(n))
+        # a generator moves no coordinate of a commuting generator
+        assert all(dual[t] is f[t] for t in range(n) if system.matrix[s][t] == 2)
+        assert all(vec[t] is f[t] for t in range(n) if t != s)
 
 
 def _negative_columns(system, M):

@@ -12,11 +12,13 @@ from mpmath import mp
 
 import coxkit
 from coxkit import corpus
-from coxkit.errors import (CoxeterError, DimensionMismatch, IncompatibleOrder,
-                           InvalidMatrix, InvariantViolation, IrrationalScalar,
-                           MixedFields)
-from coxkit.scalar import (INFINITY, _isolating_interval, build_field, cos_pi_over,
-                           double_cosine_poly, double_cosine_polys, validate_matrix)
+from coxkit import scalar
+from coxkit.errors import (CoxeterError, DimensionMismatch, FieldTooLarge,
+                           IncompatibleOrder, InvalidMatrix, InvariantViolation,
+                           IrrationalScalar, MixedFields)
+from coxkit.scalar import (INFINITY, MAX_FIELD_DEGREE, _isolating_interval, build_field,
+                           cos_pi_over, double_cosine_poly, double_cosine_polys,
+                           validate_matrix)
 
 INF = math.inf
 
@@ -120,6 +122,41 @@ def test_minpoly_matches_sympy(L):
     with mp.workdps(50):
         theta = 2 * mp.cos(mp.pi / L)
         assert mp.mpf(lo.numerator) / lo.denominator < theta < mp.mpf(hi.numerator) / hi.denominator
+
+
+class _Built(Exception):
+    """Raised in place of building a minimal polynomial."""
+
+
+def _refuse(*args):
+    raise _Built
+
+
+@pytest.mark.parametrize("labels, degree", [
+    ((11, 13, 17), 960),           # L = 2431
+    ((1000003,), 500001),          # a prime label
+    ((4 * MAX_FIELD_DEGREE ** 2 + 1,), None),  # rejected without factoring
+])
+def test_field_degree_cap(monkeypatch, labels, degree):
+    monkeypatch.setattr(scalar, "_theta_minpoly", _refuse)
+    if degree is None:
+        monkeypatch.setattr(scalar, "_totient", _refuse)
+    n = len(labels) + 1
+    rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, m in enumerate(labels):
+        rows[i][i + 1] = rows[i + 1][i] = m
+    with pytest.raises(FieldTooLarge) as info:
+        build_field(rows)
+    if degree is not None:
+        assert str(degree) in str(info.value)
+
+
+@pytest.mark.parametrize("L", [360, 2520])
+def test_field_degree_cap_admits(monkeypatch, L):
+    # 2520 = lcm(1..10) has degree 576, the largest in reach of labels <= 10
+    monkeypatch.setattr(scalar, "_theta_minpoly", _refuse)
+    with pytest.raises(_Built):
+        field_for((1, L), (L, 1))
 
 
 def test_interval_without_a_sign_change_raises():
