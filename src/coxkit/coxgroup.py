@@ -11,8 +11,11 @@ recursion: the smallest s with l(s*w) < l(w) is the smallest s with
 w(rho) back to rho, one dual step per letter.  A generator step, on a vector
 or on a dual point, goes through the Coxeter-graph neighbours of s: the form
 pairs alpha_s with alpha_t to 0 when m_st = 2, so every coordinate of a
-commuting generator is left as it is.  Matrices are built only where a
-linear map is needed: fixed points, containment and roots.
+commuting generator is left as it is.  Every per-query action takes that
+step, the cached element matrices included: their columns are the roots
+w(alpha_t).  Dense products of the generator matrices are kept only as the
+reference route (compose_matrix and the descent recursion on a matrix), which
+the checks compare the steps against.
 """
 
 from __future__ import annotations
@@ -107,6 +110,15 @@ class CoxeterSystem:
                   for j in range(n))
             for i in range(n))
 
+    def compose_matrix(self, letters):
+        """Matrix of the product of the listed generators, in word order, as
+        a product of dense generator matrices: the reference route that the
+        neighbour-table actions are checked against."""
+        M = self._identity_matrix
+        for s in letters:
+            M = self._matmul(M, self._gen_matrices[s])
+        return M
+
     def _check_representation(self) -> None:
         """Exact checks at build time: every generator matrix is an involution
         and preserves the bilinear form."""
@@ -166,35 +178,6 @@ class CoxeterSystem:
         """The generators pairing negatively with a dual point."""
         return self.label_set(s for s, c in enumerate(coords) if c.sign() < 0)
 
-    def _gen_mul_left(self, s: int, M):
-        """M_s * M: only row s changes, to row_s - sum_k 2*B[s][k] * row_k.
-
-        The k == s term is 2*B[s][s] * row_s = 2 * row_s, so row s becomes
-        -row_s - sum c * row_t over the neighbours (t, c) of s; a commuting
-        generator t has B[s][t] = 0 and contributes nothing."""
-        row = [-x for x in M[s]]
-        for t, c in self._neighbours[s]:
-            row = [x - y * c for x, y in zip(row, M[t])]
-        rows = list(M)
-        rows[s] = tuple(row)
-        return tuple(rows)
-
-    def _gen_mul_right(self, M, s: int):
-        """M * M_s: column update X[i][j] -= 2*B[s][j]*X[i][s]."""
-        B = self.form[s]
-        out = []
-        for row in M:
-            xis2 = row[s] + row[s]
-            out.append(tuple(x - b * xis2 for x, b in zip(row, B)))
-        return tuple(out)
-
-    def compose_matrix(self, letters):
-        """Matrix of the product of the listed generators, in word order."""
-        M = self._identity_matrix
-        for s in letters:
-            M = self._gen_mul_right(M, s)
-        return M
-
     # -- words and elements ----------------------------------------------------
 
     def generator(self, i: int) -> "GroupElement":
@@ -240,7 +223,9 @@ class CoxeterSystem:
     def _word_from_inverse_matrix(self, N, step_cap=_NORMALIZE_STEP_CAP):
         """Greedy descent recursion on the matrix N of w^{-1}, the reference
         route for the walks: emits the ShortLex-least reduced word of w, or
-        None if the walk does not reach the identity within the cap."""
+        None if the walk does not reach the identity within the cap.  Each
+        step is the dense product N * M_s, independent of the neighbour
+        table."""
         n = self.rank
         word = []
         for _ in range(step_cap):
@@ -255,7 +240,7 @@ class CoxeterSystem:
                     return tuple(word)
                 return None
             word.append(descent)
-            N = self._gen_mul_right(N, descent)
+            N = self._matmul(N, self._gen_matrices[descent])
         return None
 
     def normalize(self, letters) -> "GroupElement":
@@ -348,8 +333,8 @@ class CoxeterSystem:
         return tuple(map(self.field.coerce, coords))
 
     def basis_vector(self, s: int):
-        return tuple(self.field.one if i == s else self.field.zero
-                     for i in range(self.rank))
+        """The simple root alpha_s in simple-root coordinates."""
+        return self._identity_matrix[self.check_letters((s,))[0]]
 
     def label_set(self, gens) -> frozenset[int]:
         """Generator subset from an iterable of indices or labels.  Equal
@@ -405,9 +390,11 @@ class GroupElement:
 
     @property
     def matrix(self):
-        """Matrix in simple-root coordinates; column t is the root w(alpha_t)."""
+        """Matrix in simple-root coordinates: column t is the root
+        w(alpha_t), computed by act through the neighbour table.
+        CoxeterSystem.compose_matrix is the dense reference for it."""
         if self._matrix is None:
-            self._matrix = self.system.compose_matrix(self.word)
+            self._matrix = tuple(zip(*map(self.act, self.system._identity_matrix)))
         return self._matrix
 
     def __mul__(self, other):

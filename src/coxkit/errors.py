@@ -69,6 +69,11 @@ class GroupNotFinite(CoxeterError):
     """Enumeration exceeded its cap, so the group is not finite within it."""
 
 
+class CandidateTableTooLarge(CoxeterError):
+    """The closure candidate scan would list more parabolics than the cap
+    (paraclose.MAX_CANDIDATES) within the radius asked for."""
+
+
 class NotAParabolic(CoxeterError):
     """A subgroup expected to be parabolic was not found among the parabolics."""
 

@@ -41,9 +41,15 @@ from itertools import chain, combinations
 from math import prod
 
 from .coxgroup import CoxeterSystem
-from .errors import InvalidQuery, InvariantViolation, MixedSystems
+from .errors import CandidateTableTooLarge, InvalidQuery, InvariantViolation, MixedSystems
 from .parabolic import Parabolic, _intersect_stabilizer, intersect, make
 from .titscone import DualPoint, cone_components, stabilizer
+
+# About 5x the largest table the tests, the verify suites and the benchmark
+# build (2050 candidates: hyperbolic_334 at radius 12).  A table at the cap
+# holds some tens of MB; the BFS grows by a factor of 1.4-1.6 per length in
+# the hyperbolic groups, so an unbounded radius would exhaust memory.
+MAX_CANDIDATES = 10000
 
 
 class ClosureStatus(Enum):
@@ -107,22 +113,37 @@ def _candidates(system: CoxeterSystem, radius: int):
     of length <= radius, in one block per rank, each block ordered by
     (length, word, subset).  Returns (blocks, closed); cached per system and
     radius.  The rank-0 block is left empty: its candidates contain only the
-    identity, which no caller scans for.
+    identity, which no caller scans for.  The BFS is counted layer by layer,
+    and CandidateTableTooLarge is raised as soon as the candidates listed
+    pass MAX_CANDIDATES, before the next layer is built.
 
-    The matrix of w^{-1} is carried down the BFS, (w s)^{-1} = s w^{-1} being
-    one row update of the parent's.  Its column t is w^{-1}(alpha_t), so the
-    base point w(f_I) pairs with alpha_t as the sum of the rows s outside I.
+    The roots w^{-1}(alpha_t) are carried down the BFS, (w s)^{-1} = s w^{-1}
+    taking one generator step per root of the parent's.  The base point
+    w(f_I) pairs with alpha_t as <f_I, w^{-1}(alpha_t)>, the sum of the
+    coordinates of that root outside I.
     """
     cache = system.cache["closure_candidates"]
     hit = cache.get(radius)
     if hit is not None:
         return hit
-    layers, closed = system.elements_up_to(radius)
-    elements = [g for layer in layers for g in layer]
-    inverses = {(): system._identity_matrix}
-    for w in elements[1:]:
-        inverses[w.word] = system._gen_mul_left(w.word[-1], inverses[w.word[:-1]])
     n = system.rank
+    count = 0
+    for length in range(radius + 1):
+        layers, closed = system.elements_up_to(length)
+        if len(layers) > length:
+            # w heads a candidate for each nonempty I missing its right descents
+            count += sum((1 << (n - len(w.right_descents))) - 1 for w in layers[length])
+        if count > MAX_CANDIDATES:
+            raise CandidateTableTooLarge(
+                f"the closure candidate scan lists more than {MAX_CANDIDATES} "
+                f"parabolics by length {length} (radius {radius})")
+        if closed:
+            break
+    elements = [g for layer in layers for g in layer]
+    roots = {(): system._identity_matrix}
+    for w in elements[1:]:
+        s = w.word[-1]
+        roots[w.word] = tuple(system._apply_gen_vec(s, r) for r in roots[w.word[:-1]])
     zero = system.field.zero
     blocks = [()]
     for size in range(1, n + 1):
@@ -133,8 +154,7 @@ def _candidates(system: CoxeterSystem, radius: int):
             for w in elements:
                 if w.right_descents & I:
                     continue
-                N = inverses[w.word]
-                point = tuple(sum((N[s][t] for s in outside), zero) for t in range(n))
+                point = tuple(sum((r[s] for s in outside), zero) for r in roots[w.word])
                 block.append((len(w.word), w.word, subset, I, w, point))
         block.sort(key=lambda item: item[:3])
         blocks.append(tuple(item[3:] for item in block))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .coxgroup import CoxeterSystem, GroupElement
 from .errors import (InvariantViolation, NotARoot, RootSignViolation,
-                     SupportNotContained, UnknownGenerator)
+                     SupportNotContained)
 
 _REFLECTION_WORD_CAP = 4096
 
@@ -20,22 +20,21 @@ class Root:
     """A root vector in simple-root coordinates.
 
     Coordinates are scalars of the system's field; ints and Fractions are
-    converted, and anything else raises MixedFields.  Construction checks the
-    sign dichotomy: mixed coordinate signs raise RootSignViolation.  sign is
-    +1 for positive roots and -1 for negative.
+    converted, anything else raises MixedFields, and a wrong number of them
+    raises DimensionMismatch, as for DualPoint.  Construction checks the sign
+    dichotomy: mixed coordinate signs raise RootSignViolation.  sign is +1 for
+    positive roots and -1 for negative.
     """
 
     __slots__ = ("system", "coords", "support", "sign")
 
     def __init__(self, system: CoxeterSystem, coords):
-        coords = tuple(coords)
-        if len(coords) != system.rank:
-            raise RootSignViolation("coordinate length does not match the rank")
-        coords = tuple(map(system.field.coerce, coords))
+        coords = system._field_coords(coords)
         signs = {c.sign() for c in coords}
         signs.discard(0)
         if len(signs) != 1:
-            raise RootSignViolation(f"coordinates {coords} are not one-signed")
+            shown = ", ".join(map(str, coords))
+            raise RootSignViolation(f"coordinates ({shown}) are not one-signed")
         self.system = system
         self.coords = coords
         self.sign = signs.pop()
@@ -83,25 +82,27 @@ class Reflection:
 
 
 def simple_root(system: CoxeterSystem, s: int) -> Root:
-    if not 0 <= s < system.rank:
-        raise UnknownGenerator(f"generator index {s} out of range")
+    """The simple root alpha_s; s must be a generator index."""
+    (s,) = system.check_letters((s,))
     return Root(system, system.basis_vector(s))
 
 
 def root_of(w: GroupElement, s: int) -> Root:
-    """The root w(alpha_s)."""
+    """The root w(alpha_s); s must be a generator index."""
     system = w.system
-    if not 0 <= s < system.rank:
-        raise UnknownGenerator(f"generator index {s} out of range")
+    (s,) = system.check_letters((s,))
     return Root(system, w.act(system.basis_vector(s)))
 
 
 def reflection_matrix(root: Root):
-    """Matrix of v -> v - 2*(alpha, v)*alpha for alpha = root."""
-    identity = root.system._identity_matrix
-    twice = [p + p for p in (root.system.form_value(root.coords, e) for e in identity)]
+    """Matrix of v -> v - 2*(alpha, v)*alpha for alpha = root.  Each pairing
+    takes one generator step: sigma_s(alpha)_s = alpha_s - 2*(alpha, alpha_s),
+    so 2*(alpha, alpha_s) = alpha_s - sigma_s(alpha)_s."""
+    system = root.system
+    alpha = root.coords
+    twice = [a - system._apply_gen_vec(s, alpha)[s] for s, a in enumerate(alpha)]
     return tuple(tuple(x - p2 * a for x, p2 in zip(row, twice))
-                 for row, a in zip(identity, root.coords))
+                 for row, a in zip(system._identity_matrix, alpha))
 
 
 def reflection_of_root(root: Root) -> Reflection:
@@ -169,7 +170,10 @@ def descend_root(root: Root, gens) -> tuple[GroupElement, int]:
 
     Greedy descent: repeatedly apply the smallest generator s in the subset
     with (root, alpha_s) > 0; each step shortens the attached reflection, so
-    the walk ends at a simple root.  Returns (u, s) with root = u(alpha_s).
+    the walk ends at a simple root.  The test takes the step itself:
+    sigma_s(root)_s = root_s - 2*(root, alpha_s) drops exactly when the
+    pairing is positive, and that image is the next root.  Returns (u, s)
+    with root = u(alpha_s).
     """
     system = root.system
     I = system.label_set(gens)
@@ -184,15 +188,15 @@ def descend_root(root: Root, gens) -> tuple[GroupElement, int]:
     while not current.is_simple():
         step = None
         for s in ordered:
-            pairing = system.form_value(current.coords, system.basis_vector(s))
-            if pairing.sign() > 0:
+            image = system._apply_gen_vec(s, current.coords)
+            if image[s] < current.coords[s]:
                 step = s
                 break
         # a positive root has positive pairing with some simple root of its
         # support, since (root, root) = 1 > 0
         if step is None:
             raise InvariantViolation("no descent available from a nonsimple root")
-        nxt = Root(system, system._apply_gen_vec(step, current.coords))
+        nxt = Root(system, image)
         if not nxt.is_positive():
             raise InvariantViolation("descent left the positive roots")
         letters.append(step)

@@ -138,7 +138,9 @@ def suite_kernel(seed: int = 0, cases: int = 1000) -> SuiteResult:
 
 def suite_faithful(seed: int = 0) -> SuiteResult:
     """Finite groups come out with the right order, and distinct canonical
-    words always carry distinct matrices."""
+    words always carry distinct matrices.  The matrices are composed densely
+    by compose_matrix, and each must equal the element's cached matrix, which
+    the engine builds by generator steps through the neighbour table."""
     start = time.monotonic()
     checks, failures = 0, []
     for name, expected in sorted(EXPECTED_ORDERS.items()):
@@ -149,8 +151,11 @@ def suite_faithful(seed: int = 0) -> SuiteResult:
             failures.append(f"{name}: order {len(elements)} != {expected}")
         by_matrix = {}
         for g in elements:
-            checks += 1
-            other = by_matrix.setdefault(g.matrix, g)
+            M = system.compose_matrix(g.word)
+            checks += 2
+            if M != g.matrix:
+                failures.append(f"{name}: {g}: stepped matrix differs from the dense product")
+            other = by_matrix.setdefault(M, g)
             if other is not g:
                 failures.append(f"{name}: words {g} and {other} share a matrix")
     return SuiteResult("faithful-representation", checks, failures,
@@ -218,7 +223,8 @@ def suite_length_sign(seed: int = 0) -> SuiteResult:
     """Exhaustively over the finite corpus groups: multiplying by the
     reflection of a positive root increases length exactly when the element
     maps the root to a positive root.  Lengths come from canonical words via
-    the multiplication table; signs come from the matrix action."""
+    the multiplication table; signs come from the dense matrix of
+    compose_matrix, not from the engine's generator steps."""
     start = time.monotonic()
     checks, failures = 0, []
     for name in sorted(EXPECTED_ORDERS):
@@ -229,7 +235,7 @@ def suite_length_sign(seed: int = 0) -> SuiteResult:
         reflections = [(r, reflection_of_root(r).element) for r in roots]
         for w in table.elements:
             wi = table.element_index(w)
-            M = w.matrix
+            M = system.compose_matrix(w.word)
             n = system.rank
             for root, refl in reflections:
                 product = table.elements[table.mult(wi, table.element_index(refl))]

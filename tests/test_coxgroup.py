@@ -271,20 +271,6 @@ def test_descent_shortens(w, v):
             assert (g * system.generator(s)).length == right
 
 
-# labels 2, 3 and inf: b and c commute, and a, c pair to 2B = -2
-_MIXED = parse_group_file("rank 3\nlabels a b c\n1 3 inf\n3 1 2\ninf 2 1\n")
-_LEFT_MUL_SYSTEMS = [corpus.load(name) for name in corpus.NAMES] + [_MIXED]
-
-
-@given(st.data())
-def test_left_multiplication_by_a_generator_is_the_matrix_product(data):
-    system = data.draw(st.sampled_from(_LEFT_MUL_SYSTEMS))
-    word = data.draw(st.lists(st.integers(0, system.rank - 1), max_size=12))
-    M = system.compose_matrix(word)
-    for s in range(system.rank):
-        assert system._gen_mul_left(s, M) == system._matmul(system._gen_matrices[s], M)
-
-
 # labels 3, 3 and inf: a hyperbolic triangle group outside the corpus
 _TRIANGLE = parse_group_file("rank 3\nlabels a b c\n1 3 inf\n3 1 3\ninf 3 1\n")
 _NORMALIZE_SYSTEMS = [corpus.load(name) for name in corpus.NAMES] + [_TRIANGLE]
@@ -319,6 +305,15 @@ def test_generator_actions_through_the_neighbour_table(data):
         assert all(vec[t] is f[t] for t in range(n) if t != s)
 
 
+@given(st.data())
+def test_element_matrix_is_the_dense_product(data):
+    # the cached matrix, built by generator steps, against the product of
+    # the dense generator matrices over the unreduced word
+    system = data.draw(st.sampled_from(_NORMALIZE_SYSTEMS + [_SQUARE]))
+    word = data.draw(st.lists(st.integers(0, system.rank - 1), max_size=24))
+    assert system.normalize(word).matrix == system.compose_matrix(word)
+
+
 def _negative_columns(system, M):
     n = system.rank
     return frozenset(t for t in range(n) if _first_sign([M[i][t] for i in range(n)]) < 0)
@@ -326,13 +321,13 @@ def _negative_columns(system, M):
 
 @given(st.data())
 def test_normalize_walk_matches_the_matrix_descent_recursion(data):
-    # independent route: M(w^{-1}) composed by row updates, then the descent
-    # recursion on its columns; M(w) composed by column updates
+    # independent route: M(w^{-1}) composed by dense products, then the
+    # descent recursion on its columns; M(w) composed the same way
     system = data.draw(st.sampled_from(_NORMALIZE_SYSTEMS))
     word = data.draw(st.lists(st.integers(0, system.rank - 1), max_size=80))
     N = system._identity_matrix
     for s in word:
-        N = system._gen_mul_left(s, N)
+        N = system._matmul(system._gen_matrices[s], N)
     g = system.normalize(word)
     assert g.word == system._word_from_inverse_matrix(N)
     assert g.left_descents == _negative_columns(system, N)

@@ -135,6 +135,48 @@ def test_no_assert_statements_in_the_package():
         assert not lines, f"{path.relative_to(package)} has assert statements at lines {lines}"
 
 
+# The dense generator matrices are the reference route, and the bilinear form
+# is read only where the generator actions and the cone classification are
+# built: every other engine read goes through the neighbour table.
+_RESTRICTED_READS = [
+    ({"_gen_matrices", "_matmul", "compose_matrix"},
+     {"CoxeterSystem._check_representation", "CoxeterSystem.compose_matrix",
+      "CoxeterSystem._word_from_inverse_matrix", "order_of_product"}),
+    ({"form"},
+     {"CoxeterSystem.__init__", "CoxeterSystem._build_generator_matrix",
+      "CoxeterSystem._check_representation", "CoxeterSystem.form_value",
+      "ConeComponent"}),
+]
+
+
+def _reads_outside(tree, names, allowed):
+    """(line, name) of each read of one of the names, as an attribute or a
+    bare name, with no enclosing definition in allowed (dotted paths)."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if (name in names and isinstance(getattr(node, "ctx", None), ast.Load)
+                and not any(".".join(scope[:k]) in allowed
+                            for k in range(1, len(scope) + 1))):
+            found.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("names, allowed", _RESTRICTED_READS, ids=["dense", "form"])
+def test_dense_route_and_form_read_only_where_allowed(names, allowed):
+    package = Path(coxkit.__file__).parent
+    for module in ENGINE_MODULES:
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        assert not _reads_outside(tree, names, allowed), module
+
+
 def test_import_leaves_oracle_and_verify_unloaded():
     # a fresh interpreter: the checking routes load only when first named
     src = str(Path(coxkit.__file__).resolve().parents[1])

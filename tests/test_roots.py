@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from coxkit import corpus
-from coxkit.errors import (CoxeterError, MixedFields, NotARoot,
-                           RootSignViolation, SupportNotContained)
+from coxkit.errors import (CoxeterError, DimensionMismatch, MixedFields, NotARoot,
+                           RootSignViolation, SupportNotContained, UnknownGenerator)
 from coxkit.roots import (Root, descend_root, enumerate_roots,
                           reflection_matrix, reflection_of_root, root_of,
                           root_depths, simple_root)
@@ -44,7 +44,31 @@ def test_coordinates_outside_the_field_rejected(a2, b2):
             Root(a2, bad)
 
 
+@pytest.mark.parametrize("coords", [(1,), (1, 1, 1), ()])
+def test_wrong_coordinate_count_rejected(a2, coords):
+    with pytest.raises(DimensionMismatch):
+        Root(a2, coords)
+
+
+@pytest.mark.parametrize("coords, shown", [((0, 0), "(0, 0)"),
+                                           ((1, Fraction(-1, 2)), "(1, -1/2)")])
+def test_mixed_sign_message_shows_values(a2, coords, shown):
+    with pytest.raises(RootSignViolation) as info:
+        Root(a2, coords)
+    assert str(info.value) == f"coordinates {shown} are not one-signed"
+
+
 # -- roots attached to elements ---------------------------------------------------
+
+
+@pytest.mark.parametrize("make_root", [
+    simple_root, lambda W, s: root_of(W.element("s"), s),
+    lambda W, s: W.basis_vector(s),
+], ids=["simple_root", "root_of", "basis_vector"])
+@pytest.mark.parametrize("index", ["a", None, True, False, 1.5, -1, 2])
+def test_bad_generator_index_is_typed(a2, make_root, index):
+    with pytest.raises(UnknownGenerator):
+        make_root(a2, index)
 
 
 def test_identity_gives_simple_root(a2):
