@@ -35,9 +35,5 @@ def load(name: str) -> CoxeterSystem:
     return system
 
 
-def finite_systems() -> list[tuple[str, CoxeterSystem]]:
-    return [(name, load(name)) for name in FINITE_NAMES]
-
-
 def all_systems() -> list[tuple[str, CoxeterSystem]]:
     return [(name, load(name)) for name in NAMES]

@@ -62,7 +62,8 @@ class SupportNotContained(CoxeterError):
 
 
 class StepCapExceeded(CoxeterError):
-    """The point-location walk did not terminate within the step cap."""
+    """A walk did not end within its step cap: point location in the Tits
+    cone, or the descent of a root to a simple root (roots.descend_root)."""
 
 
 class GroupNotFinite(CoxeterError):

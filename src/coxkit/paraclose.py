@@ -23,7 +23,8 @@ certifies the closure with walks alone:
 Infinite groups report the presentation (rep, gens) the walks end at.  A
 finite group reports the first containing candidate of the certified rank in
 the order of the candidate scan below, so its presentation does not depend
-on the walks; when the radius shows no such candidate, the walked one.
+on the walks; when the radius shows no such candidate, or the candidate
+table within the radius passes MAX_CANDIDATES, the walked one.
 
 The candidate scan remains the fallback for systems whose cone is not
 classified: parabolics (w, I), with w a coset-minimal representative of
@@ -271,8 +272,12 @@ def pc(query: ClosureQuery) -> ClosureResult:
     if certified.rank == system.rank:
         return ClosureResult(certified, ClosureStatus.EXACT, ())
     if all(c.kind == "finite" for c in cone_components(system)):
-        blocks, _ = _candidates(system, query.radius)
-        for gens, w, point_coords in blocks[certified.rank]:
+        try:
+            block = _candidates(system, query.radius)[0][certified.rank]
+        except CandidateTableTooLarge:
+            # the table only chooses the presentation: keep the walked one
+            block = ()
+        for gens, w, point_coords in block:
             if all(g.fixes_dual_coords(point_coords) for g in elements):
                 candidate = make(w, gens)
                 # one presentation (rep, gens) names one subgroup

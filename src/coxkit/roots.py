@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .coxgroup import CoxeterSystem, GroupElement
 from .errors import (InvariantViolation, NotARoot, RootSignViolation,
-                     SupportNotContained)
+                     StepCapExceeded, SupportNotContained)
 
 _REFLECTION_WORD_CAP = 4096
 
@@ -173,7 +173,8 @@ def descend_root(root: Root, gens) -> tuple[GroupElement, int]:
     the walk ends at a simple root.  The test takes the step itself:
     sigma_s(root)_s = root_s - 2*(root, alpha_s) drops exactly when the
     pairing is positive, and that image is the next root.  Returns (u, s)
-    with root = u(alpha_s).
+    with root = u(alpha_s).  A descent longer than _REFLECTION_WORD_CAP steps
+    raises StepCapExceeded.
     """
     system = root.system
     I = system.label_set(gens)
@@ -186,6 +187,9 @@ def descend_root(root: Root, gens) -> tuple[GroupElement, int]:
     current = root
     ordered = sorted(I)
     while not current.is_simple():
+        if len(letters) == _REFLECTION_WORD_CAP:
+            raise StepCapExceeded(
+                f"root descent did not end within {_REFLECTION_WORD_CAP} steps")
         step = None
         for s in ordered:
             image = system._apply_gen_vec(s, current.coords)

@@ -6,8 +6,8 @@ import pytest
 
 from coxkit import corpus, paraclose
 from coxkit.coxgroup import build_system
-from coxkit.errors import (CoxeterError, InvalidQuery, InvariantViolation,
-                           MixedSystems)
+from coxkit.errors import (CandidateTableTooLarge, CoxeterError, InvalidQuery,
+                           InvariantViolation, MixedSystems)
 from coxkit.oracle import brute_pc, enumerate_group
 from coxkit.paraclose import (ClosureQuery, ClosureStatus, _candidates,
                               _fixed_space, pc, scan_closure)
@@ -205,6 +205,22 @@ def test_descent_that_fixes_too_little_raises(monkeypatch):
     W = corpus.load("hyperbolic_334")
     with pytest.raises(InvariantViolation):
         pc(ClosureQuery([W.element("a")], 6))
+
+
+def test_finite_group_past_the_candidate_cap_reports_the_certified_closure(monkeypatch):
+    # a fresh system, so that its candidate table is built under the lowered
+    # cap: pc needs the table only to choose the presentation
+    W = build_system(corpus.load("h3").matrix, "abc")
+    monkeypatch.setattr(paraclose, "MAX_CANDIDATES", 5)
+    query = ClosureQuery([W.element("a b")], 16)
+    res = pc(query)
+    assert res.status is ClosureStatus.EXACT
+    table = enumerate_group(W)
+    oracle_p, oracle_m = brute_pc(table, query.elements)
+    assert res.closure.equals(oracle_p)
+    assert table.subgroup_elements(res.closure) == oracle_m
+    with pytest.raises(CandidateTableTooLarge):
+        scan_closure(query)
 
 
 def test_refinement_audit_records_actual_refinements(a2):

@@ -4,7 +4,8 @@ import pytest
 
 from coxkit import corpus
 from coxkit.errors import (CoxeterError, DimensionMismatch, MixedFields, NotARoot,
-                           RootSignViolation, SupportNotContained, UnknownGenerator)
+                           RootSignViolation, StepCapExceeded, SupportNotContained,
+                           UnknownGenerator)
 from coxkit.roots import (Root, descend_root, enumerate_roots,
                           reflection_matrix, reflection_of_root, root_of,
                           root_depths, simple_root)
@@ -209,6 +210,15 @@ def test_descend_round_trips_everywhere(b3):
         u, s = descend_root(root, full)
         assert set(u.word) <= full and s in full
         assert u.act(b3.basis_vector(s)) == root.coords
+
+
+def test_descend_stops_at_its_step_cap(b3, monkeypatch):
+    # the highest root lies in the last layer, three steps from a simple root
+    depths = root_depths(b3, 32)
+    highest = max(depths, key=depths.get)
+    monkeypatch.setattr("coxkit.roots._REFLECTION_WORD_CAP", 1)
+    with pytest.raises(StepCapExceeded):
+        descend_root(highest, range(b3.rank))
 
 
 def test_subsystem_restriction(a3):
