@@ -11,17 +11,20 @@ recursion: the smallest s with l(s*w) < l(w) is the smallest s with
 w(rho) back to rho, one dual step per letter.  A generator step, on a vector
 or on a dual point, goes through the Coxeter-graph neighbours of s: the form
 pairs alpha_s with alpha_t to 0 when m_st = 2, so every coordinate of a
-commuting generator is left as it is.  Every per-query action takes that
-step, the cached element matrices included: their columns are the roots
-w(alpha_t).  Dense products of the generator matrices are kept only as the
-reference route (compose_matrix and the descent recursion on a matrix), which
-the checks compare the steps against.
+commuting generator is left as it is.  A neighbour's coordinate moves by
+2*cos(pi/m_st) times another, which is 1 for m_st = 3 and 2 for an unbounded
+label: those edges, classified once from the labels, take one or two
+additions, and only the labels 4, 5, 6, ... a field product.  Every
+per-query action takes that step, the cached element matrices included:
+their columns are the roots w(alpha_t).  Dense products of the generator
+matrices are kept only as the reference route (compose_matrix and the
+descent recursion on a matrix), which the checks compare the steps against.
 """
 
 from __future__ import annotations
 
 from .errors import (DimensionMismatch, InvalidMatrix, InvariantViolation,
-                     MixedSystems, UnknownGenerator)
+                     MixedSystems, UnknownGenerator, require_count)
 from .scalar import INFINITY, FieldContext, FieldScalar, build_field, cos_pi_over, validate_matrix
 
 _DEFAULT_LABELS = "abcdefghijklmnopqrstuvwxyz"
@@ -71,10 +74,15 @@ class CoxeterSystem:
             form.append(tuple(row))
         self.form = tuple(form)
         self._gen_matrices = tuple(self._build_generator_matrix(s) for s in range(n))
-        # (t, 2*B(alpha_s, alpha_t)) for the Coxeter-graph neighbours t of s
+        # the Coxeter-graph neighbours t of s, split by the label m_st: the
+        # step coefficient -2*B(alpha_s, alpha_t) = 2*cos(pi/m_st) is 1 for
+        # m_st = 3 and 2 for an unbounded label; every finite label m_st >= 4
+        # makes it irrational, and it is kept as a field scalar
         self._neighbours = tuple(
-            tuple((t, b + b) for t, b in enumerate(self.form[s]) if t != s and b)
-            for s in range(n))
+            (tuple(t for t, m in enumerate(m_row) if m == 3),
+             tuple(t for t, m in enumerate(m_row) if m == INFINITY),
+             tuple((t, -2 * b) for t, (m, b) in enumerate(zip(m_row, b_row)) if 3 < m < INFINITY))
+            for m_row, b_row in zip(self.matrix, self.form))
         self._identity_matrix = tuple(
             tuple(self.field.one if i == j else self.field.zero for j in range(n))
             for i in range(n))
@@ -136,12 +144,19 @@ class CoxeterSystem:
 
     def _apply_gen_vec(self, s: int, vec):
         """sigma_s applied to a vector in simple-root coordinates: only v_s
-        changes, to v_s - 2*B(alpha_s, v) = -v_s - sum c * v_t over the
-        neighbours (t, c) of s, as 2*B[s][s] = 2.  Every other coordinate
-        comes back as the same object."""
+        changes, to v_s - 2*B(alpha_s, v) = -v_s + sum 2*cos(pi/m_st) * v_t
+        over the neighbours t of s, as 2*B[s][s] = 2.  A label 3 adds v_t
+        once and an unbounded label twice; only the labels 4, 5, 6, ...
+        take a field product.  Every other coordinate comes back as the same
+        object."""
+        once, twice, scaled = self._neighbours[s]
         acc = -vec[s]
-        for t, c in self._neighbours[s]:
-            acc = acc - c * vec[t]
+        for t in once:
+            acc = acc + vec[t]
+        for t in twice:
+            acc = acc + vec[t] + vec[t]
+        for t, c in scaled:
+            acc = acc + c * vec[t]
         out = list(vec)
         out[s] = acc
         return tuple(out)
@@ -149,14 +164,20 @@ class CoxeterSystem:
     def _apply_gen_dual(self, s: int, coords):
         """The dual action of sigma_s on a point given by its pairings with
         the simple roots: f_t -> f_t - 2*B[s][t]*f_s.  That is f_s -> -f_s,
-        f_t -> f_t - c * f_s for the neighbours (t, c) of s, and nothing for
-        a commuting t, whose coordinate (and cached sign) is kept as the
-        same object."""
+        f_t -> f_t + 2*cos(pi/m_st) * f_s for the neighbours t of s: f_s is
+        added once for a label 3 and twice for an unbounded label, and only
+        the labels 4, 5, 6, ... take a field product.  A commuting t's
+        coordinate (and cached sign) is kept as the same object."""
         fs = coords[s]
         out = list(coords)
         out[s] = -fs
-        for t, c in self._neighbours[s]:
-            out[t] = coords[t] - c * fs
+        once, twice, scaled = self._neighbours[s]
+        for t in once:
+            out[t] = coords[t] + fs
+        for t in twice:
+            out[t] = coords[t] + fs + fs
+        for t, c in scaled:
+            out[t] = coords[t] + c * fs
         return tuple(out)
 
     def _walk_dual(self, coords, gens, step_cap: int):
@@ -283,8 +304,10 @@ class CoxeterSystem:
         word first.  Each element g carries the point g^{-1}(rho): for
         h = g*s that is s applied to g's point, one dual step.  Its negative
         pairings are h's right descents, and duplicates are recognized by
-        equal points, rho having trivial stabilizer.
+        equal points, rho having trivial stabilizer.  A length that is not a
+        nonnegative int raises InvalidQuery.
         """
+        require_count(length, "length")
         layers = self._bfs_layers
         while not self._bfs_closed and len(layers) <= length:
             new, points = [], []
@@ -491,8 +514,10 @@ def order_of_product(system: CoxeterSystem, s: int, t: int, cap: int = 64):
 
     For a finite label the order must come out equal to m_st; for an
     unbounded label the powers are checked not to close up within the cap
-    and INFINITY is returned.
+    and INFINITY is returned.  A cap that is not a positive int raises
+    InvalidQuery.
     """
+    require_count(cap, "cap", positive=True)
     letters = system.check_letters((s, t))
     m = system.matrix[letters[0]][letters[1]]
     M = system.compose_matrix(letters)

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all coxkit modules.
+"""Exception hierarchy shared by all coxkit modules, and the one check of
+the integer arguments (radius, depth, length, caps) that raises InvalidQuery.
 
 Every domain error raised by the library derives from CoxeterError, so
 callers (and the command line driver) can distinguish "the input is
@@ -24,8 +25,8 @@ class IncompatibleOrder(CoxeterError):
 
 
 class InvalidQuery(CoxeterError, ValueError):
-    """A query's arguments are out of range (no elements, or a radius or step
-    cap that is not a nonnegative int)."""
+    """A query's arguments are out of range (no elements, or a radius, depth,
+    length or cap that is not a nonnegative int: require_count)."""
 
 
 class IrrationalScalar(CoxeterError, ValueError):
@@ -82,3 +83,12 @@ class NotAParabolic(CoxeterError):
 class InvariantViolation(CoxeterError):
     """An exact check of a mathematical guarantee failed, so the system or
     field at hand is inconsistent (for instance, a tampered Coxeter matrix)."""
+
+
+def require_count(value, what: str, positive: bool = False) -> int:
+    """value itself if it is an int, not a bool, that is nonnegative (or
+    positive); anything else raises InvalidQuery naming it as what."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < positive:
+        kind = "positive" if positive else "nonnegative"
+        raise InvalidQuery(f"{what} {value!r} is not a {kind} integer")
+    return value

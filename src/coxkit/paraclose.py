@@ -42,7 +42,8 @@ from itertools import chain, combinations
 from math import prod
 
 from .coxgroup import CoxeterSystem
-from .errors import CandidateTableTooLarge, InvalidQuery, InvariantViolation, MixedSystems
+from .errors import (CandidateTableTooLarge, InvalidQuery, InvariantViolation, MixedSystems,
+                     require_count)
 from .parabolic import Parabolic, _intersect_stabilizer, intersect, make
 from .titscone import DualPoint, cone_components, stabilizer
 
@@ -72,10 +73,8 @@ class ClosureQuery:
         for g in elements:
             if g.system is not system:
                 raise MixedSystems("query elements belong to different systems")
-        if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
-            raise InvalidQuery(f"radius {radius!r} is not a nonnegative integer")
         self.elements = elements
-        self.radius = radius
+        self.radius = require_count(radius, "radius")
 
     @property
     def system(self) -> CoxeterSystem:

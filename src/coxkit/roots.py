@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .coxgroup import CoxeterSystem, GroupElement
 from .errors import (InvariantViolation, NotARoot, RootSignViolation,
-                     StepCapExceeded, SupportNotContained)
+                     StepCapExceeded, SupportNotContained, require_count)
 
 _REFLECTION_WORD_CAP = 4096
 
@@ -137,7 +137,9 @@ def root_depths(system: CoxeterSystem, depth: int,
     layer of first discovery.  A root first found in layer k corresponds to a
     reflection of length 2*k + 1.  Stops early once no new roots appear
     (finite root system exhausted).  With gens, the closure is restricted to
-    the subsystem on that generator subset."""
+    the subsystem on that generator subset.  A depth that is not a
+    nonnegative int raises InvalidQuery."""
+    require_count(depth, "depth")
     I = sorted(system.label_set(gens)) if gens is not None else range(system.rank)
     seen: dict[Root, int] = {}
     frontier = [simple_root(system, s) for s in I]
@@ -159,7 +161,8 @@ def root_depths(system: CoxeterSystem, depth: int,
 
 def enumerate_roots(system: CoxeterSystem, depth: int) -> list[Root]:
     """Positive roots through the given BFS depth, sorted by coordinate
-    vectors so the enumeration order is deterministic."""
+    vectors so the enumeration order is deterministic; depth as for
+    root_depths."""
     found = root_depths(system, depth)
     return sorted(found, key=lambda r: tuple(c.coeffs for c in r.coords))
 

@@ -16,7 +16,7 @@ product of its components' cones.
 from __future__ import annotations
 
 from .coxgroup import CoxeterSystem, GroupElement
-from .errors import InvalidQuery, InvariantViolation, MixedSystems, StepCapExceeded
+from .errors import InvariantViolation, MixedSystems, StepCapExceeded, require_count
 
 DEFAULT_STEP_CAP = 10000
 
@@ -86,9 +86,7 @@ def _walk(f: DualPoint, gens, step_cap: int) -> tuple[list[int], tuple]:
     walk never takes more than step_cap steps (StepCapExceeded); a cap that
     is not a nonnegative int is an InvalidQuery.
     """
-    if not isinstance(step_cap, int) or isinstance(step_cap, bool) or step_cap < 0:
-        raise InvalidQuery(f"step cap {step_cap!r} is not a nonnegative integer")
-    walked = f.system._walk_dual(f.coords, gens, step_cap)
+    walked = f.system._walk_dual(f.coords, gens, require_count(step_cap, "step cap"))
     if walked is None:
         raise StepCapExceeded(
             f"no dominant representative within {step_cap} steps; "

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from coxkit import corpus
 from coxkit.coxgroup import (_first_sign, build_system, order_of_product,
                              parse_group_file, serialize_group)
-from coxkit.errors import (DimensionMismatch, InvalidMatrix, InvariantViolation,
-                           MixedFields, MixedSystems, UnknownGenerator)
+from coxkit.errors import (DimensionMismatch, InvalidMatrix, InvalidQuery,
+                           InvariantViolation, MixedFields, MixedSystems,
+                           UnknownGenerator)
 from coxkit.oracle import enumerate_group
 from coxkit.parabolic import intersect, make
 from coxkit.paraclose import ClosureQuery, pc
@@ -149,6 +150,13 @@ def test_order_of_product_examples(a2, b2, dinf):
     assert order_of_product(a2, 0, 1) == 3
     assert order_of_product(b2, 0, 1) == 4
     assert order_of_product(dinf, 0, 1) == INFINITY
+
+
+@pytest.mark.parametrize("cap", [True, 0, -3, "x", 2.5])
+def test_order_of_product_rejects_bad_cap(dinf, cap):
+    # True would check one power, and 0 or -3 none, before answering INFINITY
+    with pytest.raises(InvalidQuery):
+        order_of_product(dinf, 0, 1, cap)
 
 
 @pytest.mark.parametrize("label", [2, 4, INFINITY])
@@ -305,6 +313,37 @@ def test_generator_actions_through_the_neighbour_table(data):
         assert all(vec[t] is f[t] for t in range(n) if t != s)
 
 
+def _count_products(monkeypatch):
+    # a list of FieldScalar products made while the patch is on
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        def counted(self, other, _name=name, _original=getattr(FieldScalar, name)):
+            calls.append(_name)
+            return _original(self, other)
+        monkeypatch.setattr(FieldScalar, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("system, products", [
+    (corpus.load("affine_a2"), [0, 0, 0]),
+    (_TRIANGLE, [0, 0, 0]),
+    # m_ac = 4 and every other label 3: one product per label-4 neighbour
+    (corpus.load("hyperbolic_334"), [1, 0, 1]),
+], ids=["affine_a2", "triangle_33inf", "hyperbolic_334"])
+def test_generator_steps_multiply_only_on_irrational_labels(monkeypatch, system, products):
+    # 2*cos(pi/m) is 1 for m = 3 and 2 for an unbounded label, so those
+    # edges move a coordinate by additions alone
+    field = system.field
+    point = tuple(field.scalar([k + 1, -k] if field.degree > 1 else [k + 1])
+                  for k in range(system.rank))
+    calls = _count_products(monkeypatch)
+    for s, expected in enumerate(products):
+        for step in (system._apply_gen_dual, system._apply_gen_vec):
+            del calls[:]
+            step(s, point)
+            assert len(calls) == expected, (step.__name__, s)
+
+
 @given(st.data())
 def test_element_matrix_is_the_dense_product(data):
     # the cached matrix, built by generator steps, against the product of
@@ -364,6 +403,13 @@ def test_enumeration_layers_unchanged(name):
     for layer in layers:
         for g in layer:
             assert g.right_descents == _negative_columns(system, g.matrix)
+
+
+@pytest.mark.parametrize("length", [True, -1, 2.5, "3"])
+def test_elements_up_to_rejects_bad_length(dinf, length):
+    # True would run one layer, and -1 return no layers
+    with pytest.raises(InvalidQuery):
+        dinf.elements_up_to(length)
 
 
 def test_label_set_shares_equal_subsets(b3):

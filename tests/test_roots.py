@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from coxkit import corpus
-from coxkit.errors import (CoxeterError, DimensionMismatch, MixedFields, NotARoot,
-                           RootSignViolation, StepCapExceeded, SupportNotContained,
-                           UnknownGenerator)
+from coxkit.errors import (CoxeterError, DimensionMismatch, InvalidQuery, MixedFields,
+                           NotARoot, RootSignViolation, StepCapExceeded,
+                           SupportNotContained, UnknownGenerator)
 from coxkit.roots import (Root, descend_root, enumerate_roots,
                           reflection_matrix, reflection_of_root, root_of,
                           root_depths, simple_root)
@@ -172,6 +172,14 @@ def test_enumeration_is_sorted_and_stable(a3):
     keys = [tuple(c.coeffs for c in r.coords) for r in roots]
     assert keys == sorted(keys)
     assert roots == enumerate_roots(a3, 8)
+
+
+@pytest.mark.parametrize("enumerate_", [root_depths, enumerate_roots])
+@pytest.mark.parametrize("depth", [True, -1, 2.5, "3"])
+def test_bad_depth_is_typed(b3, enumerate_, depth):
+    # True would run one layer, and -1 return the simple roots
+    with pytest.raises(InvalidQuery):
+        enumerate_(b3, depth)
 
 
 def test_truncated_enumeration_grows(dinf):
