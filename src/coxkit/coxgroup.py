@@ -19,6 +19,16 @@ per-query action takes that step, the cached element matrices included:
 their columns are the roots w(alpha_t).  Dense products of the generator
 matrices are kept only as the reference route (compose_matrix and the
 descent recursion on a matrix), which the checks compare the steps against.
+
+A finite system (every component of its Coxeter graph classified finite,
+decided once on first use) also keeps a table of left multiplication by the
+generators, s*g, filled lazily: normalize folds a word's letters through it
+last to first, g*h folds g's letters onto h, inverse and both descent sets
+read it (s is a left descent of g iff l(s*g) < l(g), and the right descents
+of g are the left descents of g^{-1}).  Only the rho-walk fills it, one
+entry per missing product, and it holds at most MAX_LEFT_TABLE entries; a
+word that meets a missing entry in a full table is walked, as every word is
+in an infinite or unclassified system, which keeps no table.
 """
 
 from __future__ import annotations
@@ -30,6 +40,10 @@ from .scalar import INFINITY, FieldContext, FieldScalar, build_field, cos_pi_ove
 _DEFAULT_LABELS = "abcdefghijklmnopqrstuvwxyz"
 
 _NORMALIZE_STEP_CAP = 100000
+
+# entries of the left-multiplication table of a finite system; H4 needs
+# 14,400 elements times 4 generators = 57,600
+MAX_LEFT_TABLE = 1 << 16
 
 
 def _first_sign(column) -> int:
@@ -91,7 +105,12 @@ class CoxeterSystem:
         self._intern: dict = {}
         self._label_sets: dict = {}
         self.identity = self._element(())
-        self._bfs_layers: list[list[GroupElement]] = [[self.identity]]
+        # left multiplication by the generators, s*g, one dict per s keyed by
+        # g: None until the first use decides whether the system is finite,
+        # then a tuple of dicts for a finite system and () for any other
+        self._left_table = None
+        self._left_entries = 0
+        self._bfs_layers: list[tuple[GroupElement, ...]] = [(self.identity,)]
         # g^{-1}(rho) for each g of the last BFS layer
         self._bfs_points = [self._rho]
         self._bfs_closed = False
@@ -264,20 +283,14 @@ class CoxeterSystem:
             N = self._matmul(N, self._gen_matrices[descent])
         return None
 
-    def normalize(self, letters) -> "GroupElement":
-        """Canonical element for an arbitrary word over the generators.
-
-        q = w(rho) takes one dual step per letter, last to first.  The walk
-        of q back to rho applies, at each step, the smallest s pairing
-        negatively with the point: <w(rho), alpha_s> < 0 exactly when
-        w^{-1}(alpha_s) < 0, so s is the smallest left descent, and the
-        letters walked spell the ShortLex-least reduced word.  The walk takes
-        l(w) <= len(letters) steps and ends at rho.
-        """
-        letters = self.check_letters(letters)
-        el = self._intern.get(letters)
-        if el is not None:
-            return el
+    def _walk_word(self, letters) -> "GroupElement":
+        """Canonical element of a word by the rho-walk: q = w(rho) takes one
+        dual step per letter, last to first.  The walk of q back to rho
+        applies, at each step, the smallest s pairing negatively with the
+        point: <w(rho), alpha_s> < 0 exactly when w^{-1}(alpha_s) < 0, so s
+        is the smallest left descent, and the letters walked spell the
+        ShortLex-least reduced word.  The walk takes l(w) <= len(letters)
+        steps and ends at rho."""
         q = self._rho
         for s in reversed(letters):
             q = self._apply_gen_dual(s, q)
@@ -286,16 +299,73 @@ class CoxeterSystem:
             raise InvariantViolation("the descent walk of w(rho) did not end at rho")
         return self._element(tuple(walked[0]))
 
+    def _left_tables(self) -> tuple:
+        """The left-multiplication table, one dict s -> {g: s*g} per
+        generator; empty unless the system is finite, that is, every
+        component of its Coxeter graph is classified finite.  Decided once,
+        on first use."""
+        if self._left_table is None:
+            from .titscone import cone_components
+            finite = all(c.kind == "finite" for c in cone_components(self))
+            self._left_table = tuple({} for _ in range(self.rank)) if finite else ()
+        return self._left_table
+
+    def _left_mul(self, s: int, g: "GroupElement"):
+        """s*g from the table of a finite system.  A missing entry is
+        computed by the rho-walk of (s,) + g.word and stored, the walk being
+        the only source of entries; None when it is missing and the table
+        already holds MAX_LEFT_TABLE entries."""
+        row = self._left_table[s]
+        h = row.get(g)
+        if h is None:
+            if self._left_entries >= MAX_LEFT_TABLE:
+                return None
+            h = row[g] = self._walk_word((s,) + g.word)
+            self._left_entries += 1
+        return h
+
+    def _fold(self, letters, g: "GroupElement"):
+        """The product of the letters and g, folding the letters onto g
+        right to left through the table of a finite system; None when an
+        entry is missing from a full table."""
+        for s in reversed(letters):
+            g = self._left_mul(s, g)
+            if g is None:
+                return None
+        return g
+
+    def normalize(self, letters) -> "GroupElement":
+        """Canonical element for an arbitrary word over the generators.
+
+        A canonical word is looked up among the interned elements.  Any other
+        word in a finite system is folded, last letter first, through the
+        table of left multiplication by the generators, s*g, which holds at
+        most MAX_LEFT_TABLE entries; only the rho-walk (_walk_word) fills it,
+        one entry per missing product.  Infinite and unclassified systems keep
+        no table, and a fold that meets a missing entry in a full table gives
+        up: such words are walked, as every word is without a table.
+        """
+        letters = self.check_letters(letters)
+        el = self._intern.get(letters)
+        if el is not None:
+            return el
+        if self._left_tables():
+            el = self._fold(letters, self.identity)
+            if el is not None:
+                return el
+        return self._walk_word(letters)
+
     def element(self, text: str) -> "GroupElement":
         """Canonical element for a word given as a string of labels."""
         return self.normalize(self.parse_word(text))
 
     # -- enumeration ------------------------------------------------------------
 
-    def elements_up_to(self, length: int) -> tuple[list[list["GroupElement"]], bool]:
+    def elements_up_to(self, length: int) -> tuple[tuple[tuple["GroupElement", ...], ...], bool]:
         """BFS layers of elements by length, up to the given length.  Returns
         (layers, closed); closed means the whole group was enumerated.  Layers
-        are sorted by word, so the enumeration order is deterministic.
+        are sorted by word, so the enumeration order is deterministic, and
+        are tuples: the BFS keeps extending them, so no caller may edit them.
 
         Canonical words are closed under prefixes (dropping the last letter of
         a length-lex least reduced word leaves a length-lex least reduced
@@ -328,9 +398,9 @@ class CoxeterSystem:
             if not new:
                 self._bfs_closed = True
                 break
-            layers.append(new)
+            layers.append(tuple(new))
             self._bfs_points = points
-        return layers[:length + 1], self._bfs_closed and len(layers) <= length + 1
+        return tuple(layers[:length + 1]), self._bfs_closed and len(layers) <= length + 1
 
     # -- misc ---------------------------------------------------------------------
 
@@ -425,31 +495,50 @@ class GroupElement:
             return NotImplemented
         if other.system is not self.system:
             raise MixedSystems("elements belong to different systems")
-        return self.system.normalize(self.word + other.word)
+        sys = self.system
+        if sys._left_tables():
+            product = sys._fold(self.word, other)
+            if product is not None:
+                return product
+        return sys.normalize(self.word + other.word)
 
     def inverse(self) -> "GroupElement":
+        """The reversed word, normalized: through the left-multiplication
+        table in a finite system."""
         return self.system.normalize(tuple(reversed(self.word)))
 
     @property
     def left_descents(self) -> frozenset[int]:
-        """Generators s with l(s*w) < l(w): w^{-1}(alpha_s) is a negative root,
-        so <w(rho), alpha_s> < 0 for the all-ones point rho."""
+        """Generators s with l(s*w) < l(w).  In a finite system they are read
+        from the left-multiplication table; otherwise (and once a missing
+        product finds the table full) from the point: w^{-1}(alpha_s) is a
+        negative root, so <w(rho), alpha_s> < 0 for the all-ones point rho."""
         if self._left_descents is None:
             sys = self.system
-            self._left_descents = sys._negative_set(self.act_dual_coords(sys._rho))
+            products = ([sys._left_mul(s, self) for s in range(sys.rank)]
+                        if sys._left_tables() else ())
+            if products and None not in products:
+                self._left_descents = sys.label_set(
+                    s for s, h in enumerate(products) if h.length < self.length)
+            else:
+                self._left_descents = sys._negative_set(self.act_dual_coords(sys._rho))
         return self._left_descents
 
     @property
     def right_descents(self) -> frozenset[int]:
-        """Generators t with l(w*t) < l(w): w(alpha_t) is a negative root, so
-        <w^{-1}(rho), alpha_t> < 0; w^{-1}(rho) applies the word first to
-        last."""
+        """Generators t with l(w*t) < l(w).  In a finite system they are the
+        left descents of w^{-1}; otherwise they are read from a point:
+        w(alpha_t) is a negative root, so <w^{-1}(rho), alpha_t> < 0, and
+        w^{-1}(rho) applies the word first to last."""
         if self._right_descents is None:
             sys = self.system
-            q = sys._rho
-            for s in self.word:
-                q = sys._apply_gen_dual(s, q)
-            self._right_descents = sys._negative_set(q)
+            if sys._left_tables():
+                self._right_descents = self.inverse().left_descents
+            else:
+                q = sys._rho
+                for s in self.word:
+                    q = sys._apply_gen_dual(s, q)
+                self._right_descents = sys._negative_set(q)
         return self._right_descents
 
     def act(self, vec):

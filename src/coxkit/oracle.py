@@ -2,7 +2,8 @@
 
 Everything here works with explicit element lists and index arithmetic:
 subgroups are frozensets of element indices, products are computed by
-folding words through precomputed generator permutations, and parabolic
+folding words through generator permutations, read once from the dual points
+g(rho) and never from the engine's normal forms, and parabolic
 subgroups are enumerated literally as {w u w^{-1} : u in W_I} over all
 elements w and subsets I.  No root systems and no Tits cone: this module is
 the only brute-force route in coxkit, the independent witness the geometric
@@ -39,13 +40,23 @@ class FiniteGroupTable:
         self.elements: list[GroupElement] = [g for layer in layers for g in layer]
         self.index: dict[GroupElement, int] = {
             g: i for i, g in enumerate(self.elements)}
-        n = system.rank
-        # left_action[s][i] = index of generator_s * element_i
+        # products from points, not from the engine's normal forms: element
+        # i is named by g_i(rho), rho having trivial stabilizer, so
+        # left_action[s][i], the index of generator_s * element_i, is found
+        # by one dual step s(g_i(rho)); the inverse of g_i is the element
+        # whose point is g_i^{-1}(rho), one dual step from that of the prefix
+        # of g_i's word (canonical words being closed under prefixes)
+        rho = system._rho
+        points = [g.act_dual_coords(rho) for g in self.elements]
+        by_point = {p: i for i, p in enumerate(points)}
         self.left_action = [
-            [self.index[system.normalize((s,) + g.word)] for g in self.elements]
-            for s in range(n)]
-        self.inverse = [self.index[system.normalize(tuple(reversed(g.word)))]
-                        for g in self.elements]
+            [by_point[system._apply_gen_dual(s, p)] for p in points]
+            for s in range(system.rank)]
+        inverse_points = {(): rho}
+        for g in self.elements[1:]:
+            inverse_points[g.word] = system._apply_gen_dual(
+                g.word[-1], inverse_points[g.word[:-1]])
+        self.inverse = [by_point[inverse_points[g.word]] for g in self.elements]
         self._subgroups: dict[frozenset[int], frozenset[int]] = {}
         self._parabolics = None
 

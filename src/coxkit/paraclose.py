@@ -112,10 +112,12 @@ def _candidates(system: CoxeterSystem, radius: int):
     """Candidate parabolics (gens, w, base point coords) with w coset-minimal
     of length <= radius, in one block per rank, each block ordered by
     (length, word, subset).  Returns (blocks, closed); cached per system and
-    radius.  The rank-0 block is left empty: its candidates contain only the
-    identity, which no caller scans for.  The BFS is counted layer by layer,
-    and CandidateTableTooLarge is raised as soon as the candidates listed
-    pass MAX_CANDIDATES, before the next layer is built.
+    radius, and once the BFS has closed, every radius that reaches the
+    longest element shares one table.  The rank-0 block is left empty: its
+    candidates contain only the identity, which no caller scans for.  The
+    BFS is counted layer by layer, and CandidateTableTooLarge is raised as
+    soon as the candidates listed pass MAX_CANDIDATES, before the next layer
+    is built.
 
     The roots w^{-1}(alpha_t) are carried down the BFS, (w s)^{-1} = s w^{-1}
     taking one generator step per root of the parent's.  The base point
@@ -138,6 +140,11 @@ def _candidates(system: CoxeterSystem, radius: int):
                 f"the closure candidate scan lists more than {MAX_CANDIDATES} "
                 f"parabolics by length {length} (radius {radius})")
         if closed:
+            # the whole group: one table, kept under None, for every radius
+            hit = cache.get(None)
+            if hit is not None:
+                cache[radius] = hit
+                return hit
             break
     elements = [g for layer in layers for g in layer]
     roots = {(): system._identity_matrix}
@@ -160,6 +167,8 @@ def _candidates(system: CoxeterSystem, radius: int):
         blocks.append(tuple(item[3:] for item in block))
     result = (tuple(blocks), closed)
     cache[radius] = result
+    if closed:
+        cache[None] = result
     return result
 
 

@@ -105,6 +105,20 @@ def signed_permutation_model(n):
     return ConcreteModel(gens, compose, identity)
 
 
+def icosahedral_model():
+    """H3 as A5 x Z/2: each reflection r maps to the rotation -r, an
+    involution of A5 acting on 5 points, paired with the sign -1 of the
+    central element -1.  The three involutions satisfy the H3 braid orders
+    5 (a b), 3 (b c) and 2 (a c) and generate A5, so the image has order
+    120 = |H3| and the map is an isomorphism."""
+    gens = [((0, 2, 1, 4, 3), -1), ((1, 0, 3, 2, 4), -1), ((0, 4, 3, 2, 1), -1)]
+
+    def compose(a, b):
+        return (tuple(a[0][i] for i in b[0]), a[1] * b[1])
+
+    return ConcreteModel(gens, compose, (tuple(range(5)), 1))
+
+
 MODELS = {
     "a2": lambda: dihedral_model(3),
     "b2": lambda: dihedral_model(4),
@@ -112,5 +126,6 @@ MODELS = {
     "a1xa1": lambda: dihedral_model(2),
     "a3": lambda: symmetric_model(4),
     "b3": lambda: signed_permutation_model(3),
+    "h3": icosahedral_model,
     "dihedral_inf": lambda: dihedral_model(None),
 }

@@ -1,12 +1,13 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coxkit import corpus
+from coxkit import corpus, coxgroup
 from coxkit.coxgroup import (_first_sign, build_system, order_of_product,
                              parse_group_file, serialize_group)
 from coxkit.errors import (DimensionMismatch, InvalidMatrix, InvalidQuery,
@@ -353,6 +354,14 @@ def test_element_matrix_is_the_dense_product(data):
     assert system.normalize(word).matrix == system.compose_matrix(word)
 
 
+def _inverse_matrix(system, word):
+    """M(w^{-1}) for the word w, by dense products."""
+    N = system._identity_matrix
+    for s in word:
+        N = system._matmul(system._gen_matrices[s], N)
+    return N
+
+
 def _negative_columns(system, M):
     n = system.rank
     return frozenset(t for t in range(n) if _first_sign([M[i][t] for i in range(n)]) < 0)
@@ -364,9 +373,7 @@ def test_normalize_walk_matches_the_matrix_descent_recursion(data):
     # descent recursion on its columns; M(w) composed the same way
     system = data.draw(st.sampled_from(_NORMALIZE_SYSTEMS))
     word = data.draw(st.lists(st.integers(0, system.rank - 1), max_size=80))
-    N = system._identity_matrix
-    for s in word:
-        N = system._matmul(system._gen_matrices[s], N)
+    N = _inverse_matrix(system, word)
     g = system.normalize(word)
     assert g.word == system._word_from_inverse_matrix(N)
     assert g.left_descents == _negative_columns(system, N)
@@ -410,6 +417,101 @@ def test_elements_up_to_rejects_bad_length(dinf, length):
     # True would run one layer, and -1 return no layers
     with pytest.raises(InvalidQuery):
         dinf.elements_up_to(length)
+
+
+def test_enumeration_layers_are_immutable():
+    # clearing a returned layer used to empty the BFS's own frontier, and
+    # the next call then read an infinite group as closed
+    system = parse_group_file(corpus.source("hyperbolic_334"))
+    layers, _ = system.elements_up_to(2)
+    with pytest.raises(AttributeError):
+        layers[-1].clear()
+    with pytest.raises(TypeError):
+        layers[-1][0] = system.identity
+    layers, closed = system.elements_up_to(5)
+    fresh = parse_group_file(corpus.source("hyperbolic_334")).elements_up_to(5)[0]
+    assert not closed
+    assert [len(layer) for layer in layers] == [len(layer) for layer in fresh]
+
+
+# -- the left-multiplication table of a finite system ---------------------------
+
+
+def _random_words(system, count, seed):
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(system.rank) for _ in range(rng.randint(0, 40)))
+            for _ in range(count)]
+
+
+def _point_descents(system, g):
+    """(left, right) descents by the point route: the negative pairings of
+    w(rho) and of w^{-1}(rho)."""
+    q = system._rho
+    for s in g.word:
+        q = system._apply_gen_dual(s, q)
+    return system._negative_set(g.act_dual_coords(system._rho)), system._negative_set(q)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name", corpus.FINITE_NAMES)
+def test_left_table_agrees_with_the_matrix_recursion_and_models(name, warm):
+    system = parse_group_file(corpus.source(name))
+    model = MODELS[name]()
+    full = system.rank * enumerate_group(corpus.load(name)).order
+    if warm:
+        for g in enumerate_group(system).elements:
+            for s in range(system.rank):
+                system._left_mul(s, g)
+        assert system._left_entries == full
+    words = _random_words(system, 40, seed=7)
+    for u, v in zip(words, words[1:]):
+        g, h = system.normalize(u), system.normalize(v)
+        assert g.word == system._word_from_inverse_matrix(_inverse_matrix(system, u))
+        assert model.word(g.word) == model.word(u)
+        assert model.word((g * h).word) == model.word(u + v)
+        assert model.word(g.inverse().word) == model.word(u[::-1])
+    assert system._left_table
+    assert system._left_entries == sum(map(len, system._left_table))
+    if warm:
+        assert system._left_entries == full
+
+
+@pytest.mark.parametrize("text", [corpus.source(name) for name in corpus.INFINITE_NAMES]
+                         + ["rank 3\nlabels a b c\n1 3 inf\n3 1 3\ninf 3 1\n"],
+                         ids=list(corpus.INFINITE_NAMES) + ["triangle_33inf"])
+def test_infinite_systems_build_no_left_table(text):
+    system = parse_group_file(text)
+    words = _random_words(system, 10, seed=3)
+    for u, v in zip(words, words[1:]):
+        g, h = system.normalize(u), system.normalize(v)
+        g * h, g.inverse(), g.left_descents, g.right_descents
+    assert system._left_table == ()
+    assert system._left_entries == 0
+
+
+def test_full_left_table_walks_with_the_same_answers(monkeypatch):
+    monkeypatch.setattr(coxgroup, "MAX_LEFT_TABLE", 10)
+    system = parse_group_file(corpus.source("h3"))
+    uncapped = corpus.load("h3")
+    words = _random_words(system, 30, seed=11)
+    for u, v in zip(words, words[1:]):
+        g, h = system.normalize(u), system.normalize(v)
+        assert g.word == system._walk_word(u).word == uncapped.normalize(u).word
+        assert (g * h).word == system._walk_word(u + v).word
+        assert g.inverse().word == system._walk_word(u[::-1]).word
+        assert (g.left_descents, g.right_descents) == _point_descents(system, g)
+    assert system._left_entries == sum(map(len, system._left_table)) == 10
+
+
+@pytest.mark.parametrize("name", corpus.FINITE_NAMES)
+def test_table_descents_match_the_point_route(name):
+    # every element, made by normalize in a fresh system rather than by the
+    # BFS, which sets right descents from its points
+    system = parse_group_file(corpus.source(name))
+    for word in (g.word for g in enumerate_group(corpus.load(name)).elements):
+        g = system.normalize(word)
+        assert (g.left_descents, g.right_descents) == _point_descents(system, g)
+    assert system._left_entries == system.rank * len(system._intern)
 
 
 def test_label_set_shares_equal_subsets(b3):

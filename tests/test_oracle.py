@@ -8,7 +8,7 @@ import pytest
 
 import coxkit
 from coxkit import corpus
-from coxkit.coxgroup import build_system
+from coxkit.coxgroup import build_system, parse_group_file
 from coxkit.errors import GroupNotFinite, MixedSystems
 from coxkit.oracle import FiniteGroupTable, brute_pc, enumerate_group
 
@@ -46,6 +46,23 @@ def test_inverse_table(a3):
     table = enumerate_group(a3)
     for i, g in enumerate(table.elements):
         assert table.elements[table.inverse[i]] == g.inverse()
+
+
+def test_oracle_products_are_independent_of_the_engine_table(monkeypatch):
+    # a fresh system with one wrong entry planted in its left-multiplication
+    # table: the engine reads it, the oracle's products do not
+    system = parse_group_file(corpus.source("b3"))
+    g = system.normalize((0, 1))
+    right = system.generator(2) * g
+    wrong = system.normalize((0,))
+    monkeypatch.setitem(system._left_table[2], g, wrong)
+    assert system.generator(2) * g is wrong
+    table = FiniteGroupTable(system)
+    i, s = table.index[g], table.index[system.generator(2)]
+    assert table.elements[table.left_action[2][i]] is right
+    assert table.elements[table.mult(s, i)] is right
+    assert right is not wrong
+    assert table.elements[table.inverse[table.index[right]]] is right.inverse()
 
 
 def test_element_index_rejects_foreign_elements(a2, b2):

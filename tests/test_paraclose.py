@@ -172,6 +172,16 @@ def test_candidate_base_points_match_the_dual_action(name, radius):
         assert point == w.act_dual_coords(fundamental_point(W, gens).coords)
 
 
+def test_closed_enumeration_shares_one_candidate_table():
+    # a fresh system: once radius 16 has closed the BFS, every radius from
+    # the longest element's length (15) on lists the whole group, and gets
+    # the one table
+    W = build_system(corpus.load("h3").matrix, "abc")
+    assert _candidates(W, 16) is _candidates(W, 40) is _candidates(W, 15)
+    assert _candidates(W, 16)[1] and not _candidates(W, 14)[1]
+    assert len({id(table) for table in W.cache["closure_candidates"].values()}) == 2
+
+
 def test_certified_closure_in_affine_group():
     W = corpus.load("affine_a2")
     res = pc(ClosureQuery([W.element("a b")], 10))
