@@ -20,18 +20,20 @@ their columns are the roots w(alpha_t).  Dense products of the generator
 matrices are kept only as the reference route (compose_matrix and the
 descent recursion on a matrix), which the checks compare the steps against.
 
-A finite system (every component of its Coxeter graph classified finite,
-decided once on first use) also keeps a table of left multiplication by the
-generators, s*g, filled lazily: normalize folds a word's letters through it
-last to first, g*h folds g's letters onto h, inverse and both descent sets
-read it (s is a left descent of g iff l(s*g) < l(g), and the right descents
-of g are the left descents of g^{-1}).  Only the rho-walk fills it, one
-entry per missing product, and it holds at most MAX_LEFT_TABLE entries; a
-word that meets a missing entry in a full table is walked, as every word is
-in an infinite or unclassified system, which keeps no table.
+A finite system (every component of its Coxeter graph classified finite)
+with rank * |W| <= MAX_LEFT_TABLE, |W| read off the components' types,
+keeps a table of left multiplication by the generators, s*g, filled lazily
+and only by the rho-walk.  normalize folds a word through it, last letter
+first, with no field arithmetic once the entries it meets are known.  A
+fold walks missing entries while the letters those walks push stay within
+the word's length, and past that walks the rest of the word once, so its
+walks push at most twice as many letters as the word has.  Infinite,
+unclassified and larger finite systems keep no table and walk every word.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import (DimensionMismatch, InvalidMatrix, InvariantViolation,
                      MixedSystems, UnknownGenerator, require_count)
@@ -41,8 +43,9 @@ _DEFAULT_LABELS = "abcdefghijklmnopqrstuvwxyz"
 
 _NORMALIZE_STEP_CAP = 100000
 
-# entries of the left-multiplication table of a finite system; H4 needs
-# 14,400 elements times 4 generators = 57,600
+# entries of the left-multiplication table of a finite system, rank * |W|;
+# a finite group past it keeps no table.  H4 needs 14,400 elements times
+# 4 generators = 57,600
 MAX_LEFT_TABLE = 1 << 16
 
 
@@ -57,6 +60,32 @@ def _first_sign(column) -> int:
         if s:
             return s
     return 0
+
+
+def _finite_order(matrix, gens) -> int:
+    """|W| for an irreducible component on the generators gens whose form
+    is positive definite, by its type: a path A_n, B_n, F_4, H_3, H_4 or
+    I_2(m), or a tree with one branch node, D_n or E_6, E_7, E_8 (Humphreys
+    1990, 2.4 and 2.11)."""
+    n = len(gens)
+    if n <= 2:
+        return 2 if n == 1 else 2 * matrix[gens[0]][gens[1]]
+    edges = {s: [t for t in gens if t != s and matrix[s][t] != 2] for s in gens}
+    branch = [s for s in gens if len(edges[s]) == 3]
+    if branch:
+        # D_n has two leaves next to its branch node, E_n one
+        if sum(len(edges[t]) == 1 for t in edges[branch[0]]) >= 2:
+            return 2 ** (n - 1) * math.factorial(n)
+        return {6: 51840, 7: 2903040, 8: 696729600}[n]
+    top = max(matrix[s][t] for s in gens for t in edges[s])
+    if top == 3:
+        return math.factorial(n + 1)
+    if top == 5:
+        return 120 if n == 3 else 14400
+    # one label 4: at an end of the path for B_n, in the middle for F_4
+    if any(len(edges[s]) == 1 and matrix[s][edges[s][0]] == 4 for s in gens):
+        return 2 ** n * math.factorial(n)
+    return 1152
 
 
 class CoxeterSystem:
@@ -106,10 +135,9 @@ class CoxeterSystem:
         self._label_sets: dict = {}
         self.identity = self._element(())
         # left multiplication by the generators, s*g, one dict per s keyed by
-        # g: None until the first use decides whether the system is finite,
-        # then a tuple of dicts for a finite system and () for any other
+        # g: None until the first normalize miss decides it, then a tuple of
+        # dicts for a finite system within MAX_LEFT_TABLE and () for any other
         self._left_table = None
-        self._left_entries = 0
         self._bfs_layers: list[tuple[GroupElement, ...]] = [(self.identity,)]
         # g^{-1}(rho) for each g of the last BFS layer
         self._bfs_points = [self._rho]
@@ -283,6 +311,20 @@ class CoxeterSystem:
             N = self._matmul(N, self._gen_matrices[descent])
         return None
 
+    def _left_tables(self) -> tuple:
+        """The left-multiplication table, one dict {g: s*g} per generator s,
+        filled by normalize; () unless every component of the Coxeter graph
+        is classified finite and the rank * |W| entries fit MAX_LEFT_TABLE.
+        Decided once, on first use, with no enumeration."""
+        if self._left_table is None:
+            from .titscone import cone_components
+            components = cone_components(self)
+            fits = (all(c.kind == "finite" for c in components)
+                    and self.rank * math.prod(_finite_order(self.matrix, c.gens)
+                                              for c in components) <= MAX_LEFT_TABLE)
+            self._left_table = tuple({} for _ in range(self.rank)) if fits else ()
+        return self._left_table
+
     def _walk_word(self, letters) -> "GroupElement":
         """Canonical element of a word by the rho-walk: q = w(rho) takes one
         dual step per letter, last to first.  The walk of q back to rho
@@ -299,61 +341,37 @@ class CoxeterSystem:
             raise InvariantViolation("the descent walk of w(rho) did not end at rho")
         return self._element(tuple(walked[0]))
 
-    def _left_tables(self) -> tuple:
-        """The left-multiplication table, one dict s -> {g: s*g} per
-        generator; empty unless the system is finite, that is, every
-        component of its Coxeter graph is classified finite.  Decided once,
-        on first use."""
-        if self._left_table is None:
-            from .titscone import cone_components
-            finite = all(c.kind == "finite" for c in cone_components(self))
-            self._left_table = tuple({} for _ in range(self.rank)) if finite else ()
-        return self._left_table
-
-    def _left_mul(self, s: int, g: "GroupElement"):
-        """s*g from the table of a finite system.  A missing entry is
-        computed by the rho-walk of (s,) + g.word and stored, the walk being
-        the only source of entries; None when it is missing and the table
-        already holds MAX_LEFT_TABLE entries."""
-        row = self._left_table[s]
-        h = row.get(g)
-        if h is None:
-            if self._left_entries >= MAX_LEFT_TABLE:
-                return None
-            h = row[g] = self._walk_word((s,) + g.word)
-            self._left_entries += 1
-        return h
-
-    def _fold(self, letters, g: "GroupElement"):
-        """The product of the letters and g, folding the letters onto g
-        right to left through the table of a finite system; None when an
-        entry is missing from a full table."""
-        for s in reversed(letters):
-            g = self._left_mul(s, g)
-            if g is None:
-                return None
-        return g
-
     def normalize(self, letters) -> "GroupElement":
         """Canonical element for an arbitrary word over the generators.
 
-        A canonical word is looked up among the interned elements.  Any other
-        word in a finite system is folded, last letter first, through the
-        table of left multiplication by the generators, s*g, which holds at
-        most MAX_LEFT_TABLE entries; only the rho-walk (_walk_word) fills it,
-        one entry per missing product.  Infinite and unclassified systems keep
-        no table, and a fold that meets a missing entry in a full table gives
-        up: such words are walked, as every word is without a table.
+        A canonical word is looked up among the interned elements.  In a
+        finite system within MAX_LEFT_TABLE, any other word is folded, last
+        letter first, through the table of left multiplication by the
+        generators (_left_tables).  A missing entry s*g is the rho-walk of
+        (s,) + g.word, stored, while the letters those walks push stay
+        within the word's length; past that, the unfolded letters and the
+        word of the product so far are walked once.  Infinite, unclassified
+        and larger finite systems keep no table and walk the word
+        (_walk_word).
         """
         letters = self.check_letters(letters)
         el = self._intern.get(letters)
         if el is not None:
             return el
-        if self._left_tables():
-            el = self._fold(letters, self.identity)
-            if el is not None:
-                return el
-        return self._walk_word(letters)
+        table = self._left_tables()
+        if not table:
+            return self._walk_word(letters)
+        el, budget = self.identity, len(letters)
+        for i in range(len(letters) - 1, -1, -1):
+            row = table[letters[i]]
+            h = row.get(el)
+            if h is None:
+                if el.length >= budget:
+                    return self._walk_word(letters[:i + 1] + el.word)
+                budget -= el.length + 1
+                h = row[el] = self._walk_word((letters[i],) + el.word)
+            el = h
+        return el
 
     def element(self, text: str) -> "GroupElement":
         """Canonical element for a word given as a string of labels."""
@@ -495,50 +513,31 @@ class GroupElement:
             return NotImplemented
         if other.system is not self.system:
             raise MixedSystems("elements belong to different systems")
-        sys = self.system
-        if sys._left_tables():
-            product = sys._fold(self.word, other)
-            if product is not None:
-                return product
-        return sys.normalize(self.word + other.word)
+        return self.system.normalize(self.word + other.word)
 
     def inverse(self) -> "GroupElement":
-        """The reversed word, normalized: through the left-multiplication
-        table in a finite system."""
         return self.system.normalize(tuple(reversed(self.word)))
 
     @property
     def left_descents(self) -> frozenset[int]:
-        """Generators s with l(s*w) < l(w).  In a finite system they are read
-        from the left-multiplication table; otherwise (and once a missing
-        product finds the table full) from the point: w^{-1}(alpha_s) is a
-        negative root, so <w(rho), alpha_s> < 0 for the all-ones point rho."""
+        """Generators s with l(s*w) < l(w): w^{-1}(alpha_s) is a negative root,
+        so <w(rho), alpha_s> < 0 for the all-ones point rho."""
         if self._left_descents is None:
             sys = self.system
-            products = ([sys._left_mul(s, self) for s in range(sys.rank)]
-                        if sys._left_tables() else ())
-            if products and None not in products:
-                self._left_descents = sys.label_set(
-                    s for s, h in enumerate(products) if h.length < self.length)
-            else:
-                self._left_descents = sys._negative_set(self.act_dual_coords(sys._rho))
+            self._left_descents = sys._negative_set(self.act_dual_coords(sys._rho))
         return self._left_descents
 
     @property
     def right_descents(self) -> frozenset[int]:
-        """Generators t with l(w*t) < l(w).  In a finite system they are the
-        left descents of w^{-1}; otherwise they are read from a point:
-        w(alpha_t) is a negative root, so <w^{-1}(rho), alpha_t> < 0, and
-        w^{-1}(rho) applies the word first to last."""
+        """Generators t with l(w*t) < l(w): w(alpha_t) is a negative root, so
+        <w^{-1}(rho), alpha_t> < 0; w^{-1}(rho) applies the word first to
+        last."""
         if self._right_descents is None:
             sys = self.system
-            if sys._left_tables():
-                self._right_descents = self.inverse().left_descents
-            else:
-                q = sys._rho
-                for s in self.word:
-                    q = sys._apply_gen_dual(s, q)
-                self._right_descents = sys._negative_set(q)
+            q = sys._rho
+            for s in self.word:
+                q = sys._apply_gen_dual(s, q)
+            self._right_descents = sys._negative_set(q)
         return self._right_descents
 
     def act(self, vec):

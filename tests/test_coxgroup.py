@@ -16,7 +16,7 @@ from coxkit.errors import (DimensionMismatch, InvalidMatrix, InvalidQuery,
 from coxkit.oracle import enumerate_group
 from coxkit.parabolic import intersect, make
 from coxkit.paraclose import ClosureQuery, pc
-from coxkit.titscone import DualPoint, locate
+from coxkit.titscone import DualPoint, cone_components, locate
 from coxkit.scalar import INFINITY, FieldScalar
 
 from groupmodels import MODELS
@@ -452,17 +452,28 @@ def _point_descents(system, g):
     return system._negative_set(g.act_dual_coords(system._rho)), system._negative_set(q)
 
 
+def _fill_left_table(system):
+    """Fold s g a a for every element g and generator s until no entry is
+    missing: the word is not reduced, so normalize folds it, and a fold that
+    meets missing entries fills at least the first.  Returns the entries."""
+    words = [g.word for g in enumerate_group(system).elements]
+    while True:
+        size = sum(map(len, system._left_tables()))
+        for word in words:
+            for s in range(system.rank):
+                system.normalize((s,) + word + (0, 0))
+        if sum(map(len, system._left_table)) == size:
+            return size
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("name", corpus.FINITE_NAMES)
 def test_left_table_agrees_with_the_matrix_recursion_and_models(name, warm):
     system = parse_group_file(corpus.source(name))
     model = MODELS[name]()
-    full = system.rank * enumerate_group(corpus.load(name)).order
+    order = enumerate_group(corpus.load(name)).order
     if warm:
-        for g in enumerate_group(system).elements:
-            for s in range(system.rank):
-                system._left_mul(s, g)
-        assert system._left_entries == full
+        assert _fill_left_table(system) == system.rank * order
     words = _random_words(system, 40, seed=7)
     for u, v in zip(words, words[1:]):
         g, h = system.normalize(u), system.normalize(v)
@@ -470,10 +481,30 @@ def test_left_table_agrees_with_the_matrix_recursion_and_models(name, warm):
         assert model.word(g.word) == model.word(u)
         assert model.word((g * h).word) == model.word(u + v)
         assert model.word(g.inverse().word) == model.word(u[::-1])
-    assert system._left_table
-    assert system._left_entries == sum(map(len, system._left_table))
-    if warm:
-        assert system._left_entries == full
+    assert system._left_table and all(len(row) <= order for row in system._left_table)
+    for s, row in enumerate(system._left_table):
+        for g, h in row.items():
+            assert model.word(h.word) == model.word((s,) + g.word)
+
+
+def test_a_fold_walks_at_most_its_word_for_new_entries(monkeypatch):
+    # the first fold in a cold h3 meets a missing entry at every letter; it
+    # stores entries while the letters their walks push stay within the
+    # word's 30, then walks the rest of the word once
+    system = parse_group_file(corpus.source("h3"))
+    word = tuple(i % 3 for i in range(30))
+    pushed = []
+    walk = system._walk_word
+
+    def counted(letters):
+        pushed.append(len(letters))
+        return walk(letters)
+
+    monkeypatch.setattr(system, "_walk_word", counted)
+    assert system.normalize(word).word == corpus.load("h3")._walk_word(word).word
+    entries = sum(map(len, system._left_table))
+    assert 0 < entries == len(pushed) - 1
+    assert sum(pushed[:-1]) <= len(word) and pushed[-1] <= len(word)
 
 
 @pytest.mark.parametrize("text", [corpus.source(name) for name in corpus.INFINITE_NAMES]
@@ -486,32 +517,60 @@ def test_infinite_systems_build_no_left_table(text):
         g, h = system.normalize(u), system.normalize(v)
         g * h, g.inverse(), g.left_descents, g.right_descents
     assert system._left_table == ()
-    assert system._left_entries == 0
 
 
-def test_full_left_table_walks_with_the_same_answers(monkeypatch):
+def test_finite_system_past_the_cap_walks_with_the_same_answers(monkeypatch):
+    # with the cap at 10, a1xa1 (2 x 4 entries) keeps a table and h3
+    # (3 x 120) keeps none and walks every word, without enumerating
     monkeypatch.setattr(coxgroup, "MAX_LEFT_TABLE", 10)
+    small = parse_group_file(corpus.source("a1xa1"))
+    assert _fill_left_table(small) == 8
     system = parse_group_file(corpus.source("h3"))
-    uncapped = corpus.load("h3")
+    tabled = corpus.load("h3")
     words = _random_words(system, 30, seed=11)
     for u, v in zip(words, words[1:]):
         g, h = system.normalize(u), system.normalize(v)
-        assert g.word == system._walk_word(u).word == uncapped.normalize(u).word
-        assert (g * h).word == system._walk_word(u + v).word
-        assert g.inverse().word == system._walk_word(u[::-1]).word
-        assert (g.left_descents, g.right_descents) == _point_descents(system, g)
-    assert system._left_entries == sum(map(len, system._left_table)) == 10
+        assert g.word == tabled.normalize(u).word
+        assert (g * h).word == tabled.normalize(u + v).word
+        assert g.inverse().word == tabled.normalize(u[::-1]).word
+    assert system._left_table == () and tabled._left_table
+    assert len(system._bfs_layers) == 1
+
+
+@pytest.mark.parametrize("rank, edges, order", [
+    (4, [(0, 1, 3), (1, 2, 3), (2, 3, 3)], 120),               # A4
+    (4, [(0, 1, 4), (1, 2, 3), (2, 3, 3)], 384),               # B4
+    (4, [(0, 1, 3), (1, 2, 4), (2, 3, 3)], 1152),              # F4
+    (4, [(0, 1, 3), (1, 2, 3), (1, 3, 3)], 192),               # D4
+    (5, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (2, 4, 3)], 1920),   # D5
+    (2, [(0, 1, 7)], 14),                                      # I2(7)
+    (4, [(0, 1, 3), (2, 3, 5)], 60),                           # A2 x I2(5)
+    (6, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (2, 5, 3)], 51840),  # E6
+], ids=["A4", "B4", "F4", "D4", "D5", "I2(7)", "A2xI2(5)", "E6"])
+def test_finite_order_by_type(rank, edges, order):
+    # against the enumeration where it is small, and against the known order
+    # of E6, whose branch node has one leaf next to it where D6's has two
+    matrix = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    for i, j, m in edges:
+        matrix[i][j] = matrix[j][i] = m
+    W = build_system(matrix)
+    assert math.prod(coxgroup._finite_order(W.matrix, c.gens)
+                     for c in cone_components(W)) == order
+    if order <= 2000:
+        assert enumerate_group(W).order == order
 
 
 @pytest.mark.parametrize("name", corpus.FINITE_NAMES)
 def test_table_descents_match_the_point_route(name):
-    # every element, made by normalize in a fresh system rather than by the
-    # BFS, which sets right descents from its points
+    # {s : l(s*g) < l(g)} read from the table is the left descent set of g
+    # and the right descent set of g^{-1}, both by the point route
     system = parse_group_file(corpus.source(name))
-    for word in (g.word for g in enumerate_group(corpus.load(name)).elements):
-        g = system.normalize(word)
-        assert (g.left_descents, g.right_descents) == _point_descents(system, g)
-    assert system._left_entries == system.rank * len(system._intern)
+    _fill_left_table(system)
+    table = system._left_table
+    for g in table[0]:
+        below = system.label_set(s for s in range(system.rank) if table[s][g].length < g.length)
+        assert below == _point_descents(system, g)[0]
+        assert below == _point_descents(system, g.inverse())[1]
 
 
 def test_label_set_shares_equal_subsets(b3):
