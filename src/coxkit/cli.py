@@ -303,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pc", cmd_pc, "parabolic closure of a set of elements")
     p.add_argument("words", nargs="+")
     p.add_argument("--radius", type=_count, default=12,
-                   help="length bound on the candidates (w, I) scanned: the presentation "
-                        "of a finite group's closure, or the closure itself in a group "
-                        "whose Tits cone is not classified (default 12)")
+                   help="a finite group reports the ShortLex-least (w, I) naming the "
+                        "closure with |w| <= radius, or else the walked one; an unclassified "
+                        "group scans the candidates (w, I) within it (default 12)")
 
     p = add("verify", cmd_verify,
             "run the property suites over the built-in corpus", group=False)

@@ -381,9 +381,10 @@ class CoxeterSystem:
 
     def elements_up_to(self, length: int) -> tuple[tuple[tuple["GroupElement", ...], ...], bool]:
         """BFS layers of elements by length, up to the given length.  Returns
-        (layers, closed); closed means the whole group was enumerated.  Layers
-        are sorted by word, so the enumeration order is deterministic, and
-        are tuples: the BFS keeps extending them, so no caller may edit them.
+        (layers, closed); closed means the last layer is the longest element,
+        the one element with every generator as a right descent.  Layers are
+        sorted by word, so the enumeration order is deterministic, and are
+        tuples: the BFS keeps extending them, so no caller may edit them.
 
         Canonical words are closed under prefixes (dropping the last letter of
         a length-lex least reduced word leaves a length-lex least reduced
@@ -413,11 +414,9 @@ class CoxeterSystem:
                         h._right_descents = self._negative_set(q)
                     new.append(h)
                     points.append(q)
-            if not new:
-                self._bfs_closed = True
-                break
             layers.append(tuple(new))
             self._bfs_points = points
+            self._bfs_closed = all(len(h._right_descents) == self.rank for h in new)
         return tuple(layers[:length + 1]), self._bfs_closed and len(layers) <= length + 1
 
     # -- misc ---------------------------------------------------------------------
@@ -530,14 +529,10 @@ class GroupElement:
     @property
     def right_descents(self) -> frozenset[int]:
         """Generators t with l(w*t) < l(w): w(alpha_t) is a negative root, so
-        <w^{-1}(rho), alpha_t> < 0; w^{-1}(rho) applies the word first to
-        last."""
+        <rho, w(alpha_t)> < 0, one of the root pairings of rho."""
         if self._right_descents is None:
             sys = self.system
-            q = sys._rho
-            for s in self.word:
-                q = sys._apply_gen_dual(s, q)
-            self._right_descents = sys._negative_set(q)
+            self._right_descents = sys._negative_set(self.root_pairings(sys._rho))
         return self._right_descents
 
     def act(self, vec):
@@ -559,23 +554,19 @@ class GroupElement:
         return out
 
     def root_pairings(self, coords):
-        """The pairings <f, w(alpha_t)> = <w^{-1} f, alpha_t> of the dual point
-        f with the roots w(alpha_t), the matrix columns, lazily in t order.
+        """The pairings <f, w(alpha_t)> = <w^{-1} f, alpha_t>: the dual action
+        of w^{-1} on f, one generator step per letter, first to last.
         Coordinates are coerced into the system's field, as for DualPoint."""
         sys = self.system
-        coords = sys._field_coords(coords)
-        M = self.matrix
-        zero = sys.field.zero
-        for t in range(len(M)):
-            acc = zero
-            for row, c in zip(M, coords):
-                acc = acc + row[t] * c
-            yield acc
+        out = sys._field_coords(coords)
+        for s in self.word:
+            out = sys._apply_gen_dual(s, out)
+        return out
 
     def fixes_dual_coords(self, coords) -> bool:
         """Whether the dual action fixes the point f, as w^{-1} does: iff
-        <f, w(alpha_t)> = f_t for every t, decided with early exit."""
-        return all(p == c for p, c in zip(self.root_pairings(coords), coords))
+        <f, w(alpha_t)> = f_t for every t."""
+        return self.root_pairings(coords) == tuple(coords)
 
     def __eq__(self, other):
         if isinstance(other, GroupElement):

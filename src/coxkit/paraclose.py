@@ -21,10 +21,9 @@ certifies the closure with walks alone:
   in any Coxeter group.
 
 Infinite groups report the presentation (rep, gens) the walks end at.  A
-finite group reports the first containing candidate of the certified rank in
-the order of the candidate scan below, so its presentation does not depend
-on the walks; when the radius shows no such candidate, or the candidate
-table within the radius passes MAX_CANDIDATES, the walked one.
+finite group reports the ShortLex-least (w, I) naming its closure with
+|w| <= the radius, or else the walked presentation: a search of the BFS
+layers from the closure's base point, which needs no candidate table.
 
 The candidate scan remains the fallback for systems whose cone is not
 classified: parabolics (w, I), with w a coset-minimal representative of
@@ -60,8 +59,9 @@ class ClosureStatus(Enum):
 
 
 class ClosureQuery:
-    """A set of group elements and a length bound: the radius of the
-    candidate scan (a finite group's presentation, or the fallback)."""
+    """A set of group elements and a radius: a finite group reports the
+    ShortLex-least (w, I) naming the closure with |w| <= radius, or else the
+    walked presentation; an unclassified system scans (w, I) within it."""
 
     __slots__ = ("elements", "radius")
 
@@ -112,12 +112,11 @@ def _candidates(system: CoxeterSystem, radius: int):
     """Candidate parabolics (gens, w, base point coords) with w coset-minimal
     of length <= radius, in one block per rank, each block ordered by
     (length, word, subset).  Returns (blocks, closed); cached per system and
-    radius, and once the BFS has closed, every radius that reaches the
-    longest element shares one table.  The rank-0 block is left empty: its
-    candidates contain only the identity, which no caller scans for.  The
-    BFS is counted layer by layer, and CandidateTableTooLarge is raised as
-    soon as the candidates listed pass MAX_CANDIDATES, before the next layer
-    is built.
+    radius, a radius past the length L of a finite group's longest element
+    clamped to L.  The rank-0 block is left empty: its candidates contain
+    only the identity, which no caller scans for.  The BFS is counted layer
+    by layer, and CandidateTableTooLarge is raised as soon as the candidates
+    listed pass MAX_CANDIDATES, before the next layer is built.
 
     The roots w^{-1}(alpha_t) are carried down the BFS, (w s)^{-1} = s w^{-1}
     taking one generator step per root of the parent's.  The base point
@@ -132,18 +131,16 @@ def _candidates(system: CoxeterSystem, radius: int):
     count = 0
     for length in range(radius + 1):
         layers, closed = system.elements_up_to(length)
-        if len(layers) > length:
-            # w heads a candidate for each nonempty I missing its right descents
-            count += sum((1 << (n - len(w.right_descents))) - 1 for w in layers[length])
+        # w heads a candidate for each nonempty I missing its right descents
+        count += sum((1 << (n - len(w.right_descents))) - 1 for w in layers[length])
         if count > MAX_CANDIDATES:
             raise CandidateTableTooLarge(
                 f"the closure candidate scan lists more than {MAX_CANDIDATES} "
                 f"parabolics by length {length} (radius {radius})")
         if closed:
-            # the whole group: one table, kept under None, for every radius
-            hit = cache.get(None)
+            radius = length
+            hit = cache.get(radius)
             if hit is not None:
-                cache[radius] = hit
                 return hit
             break
     elements = [g for layer in layers for g in layer]
@@ -167,8 +164,6 @@ def _candidates(system: CoxeterSystem, radius: int):
         blocks.append(tuple(item[3:] for item in block))
     result = (tuple(blocks), closed)
     cache[radius] = result
-    if closed:
-        cache[None] = result
     return result
 
 
@@ -280,21 +275,31 @@ def pc(query: ClosureQuery) -> ClosureResult:
     if certified.rank == system.rank:
         return ClosureResult(certified, ClosureStatus.EXACT, ())
     if all(c.kind == "finite" for c in cone_components(system)):
-        try:
-            block = _candidates(system, query.radius)[0][certified.rank]
-        except CandidateTableTooLarge:
-            # the table only chooses the presentation: keep the walked one
-            block = ()
-        for gens, w, point_coords in block:
-            if all(g.fixes_dual_coords(point_coords) for g in elements):
-                candidate = make(w, gens)
-                # one presentation (rep, gens) names one subgroup
-                if not (candidate.rep is certified.rep and candidate.gens == certified.gens
-                        or candidate.equals(certified)):
-                    raise InvariantViolation(
-                        "certified closure differs from a containing candidate of its rank")
-                return ClosureResult(candidate, ClosureStatus.EXACT, (candidate,))
+        certified = _least_presentation(certified, query.radius)
+        if not all(certified.contains_element(g) for g in elements):
+            raise InvariantViolation("the certified closure misses a query element")
     return ClosureResult(certified, ClosureStatus.EXACT, (certified,))
+
+
+def _least_presentation(closure: Parabolic, radius: int) -> Parabolic:
+    """The ShortLex-least (w, I), |w| <= radius, naming a finite group's
+    closure P; P itself when none does within MAX_CANDIDATES elements.  (w, I)
+    names P when I, the generators pairing to 0 with w^{-1}(b), b P's base
+    point, has P's rank: w W_I w^{-1} then lies in P, and a parabolic of P's
+    rank in P is P.  The first such w is shortest in w W_I, as a shorter
+    element of w W_I names P with the same I."""
+    system = closure.system
+    points = {(): closure.base_point.coords}
+    for length in range(min(radius, closure.rep.length) + 1):
+        if len(points) > MAX_CANDIDATES:
+            break
+        for w in system.elements_up_to(length)[0][length]:
+            if w.word:
+                points[w.word] = system._apply_gen_dual(w.word[-1], points[w.word[:-1]])
+            I = [s for s, c in enumerate(points[w.word]) if c.is_zero()]
+            if len(I) == closure.rank:
+                return make(w, I)
+    return closure
 
 
 def scan_closure(query: ClosureQuery) -> ClosureResult:

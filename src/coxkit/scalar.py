@@ -279,16 +279,17 @@ class FieldContext:
             if value.ctx is not self:
                 raise MixedFields("scalars belong to different field contexts")
             return value
-        if isinstance(value, (int, Fraction)):
-            return self.from_rational(value)
-        raise MixedFields(f"{value!r} is not an element of Q(2cos(pi/{self.L}))")
+        return self.from_rational(value)
 
     def from_rational(self, q) -> "FieldScalar":
-        q = Fraction(q)
-        return FieldScalar(self, (q,) + (_F0,) * (self.degree - 1))
+        return self.scalar((q,))
 
     def scalar(self, coeffs) -> "FieldScalar":
-        cs = [Fraction(c) for c in coeffs]
+        """sum c_i theta^i for int or Fraction c_i; anything else raises MixedFields."""
+        cs = list(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in cs):
+            raise MixedFields(f"{cs!r}: every coefficient must be an int or a Fraction")
+        cs = [Fraction(c) for c in cs]
         if len(cs) > self.degree:
             raise DimensionMismatch("coefficient vector longer than the field degree")
         cs += [_F0] * (self.degree - len(cs))

@@ -354,6 +354,25 @@ def test_element_matrix_is_the_dense_product(data):
     assert system.normalize(word).matrix == system.compose_matrix(word)
 
 
+@pytest.mark.parametrize("name", ["a3", "b3", "h3", *corpus.INFINITE_NAMES])
+def test_root_pairings_pair_with_the_dense_product_columns(name):
+    # <f, w(alpha_t)> by one dual step per letter, against f paired with
+    # column t of the product of the dense generator matrices
+    system = corpus.load(name)
+    if name in corpus.FINITE_NAMES:
+        elements = enumerate_group(system).elements
+    else:
+        elements = [system.normalize(word) for word in _random_words(system, 40, 11)]
+    rng = random.Random(12)
+    for g in elements:
+        f = system._field_coords(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                 for _ in range(system.rank))
+        M = system.compose_matrix(g.word)
+        columns = zip(*M)
+        assert g.root_pairings(f) == tuple(
+            sum((c * x for c, x in zip(f, column)), system.field.zero) for column in columns), g
+
+
 def _inverse_matrix(system, word):
     """M(w^{-1}) for the word w, by dense products."""
     N = system._identity_matrix
@@ -410,6 +429,16 @@ def test_enumeration_layers_unchanged(name):
     for layer in layers:
         for g in layer:
             assert g.right_descents == _negative_columns(system, g.matrix)
+
+
+def test_enumeration_closes_at_the_longest_element_on_a_fresh_system():
+    # closed once used to need a later call to ask for one more layer
+    h3 = parse_group_file(corpus.source("h3"))
+    assert h3.elements_up_to(15)[1] and not h3.elements_up_to(14)[1]
+    b3 = parse_group_file(corpus.source("b3"))
+    assert not b3.elements_up_to(8)[1] and b3.elements_up_to(9)[1]
+    affine = parse_group_file(corpus.source("affine_a2"))
+    assert not any(affine.elements_up_to(length)[1] for length in range(16))
 
 
 @pytest.mark.parametrize("length", [True, -1, 2.5, "3"])

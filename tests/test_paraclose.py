@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import product
 from pathlib import Path
 
@@ -129,6 +130,30 @@ def test_infinite_groups_build_no_candidate_table(name):
     assert len(W._bfs_layers) == 1
 
 
+@pytest.mark.parametrize("name", ["b3", "h3"])
+def test_finite_groups_build_no_candidate_table(name):
+    # a fresh system: pc's search for the least presentation walks the BFS
+    # layers and lists no candidates
+    W = build_system(corpus.load(name).matrix)
+    for word in ((0,), (0, 1), (1, 0, 1), (2, 0, 1, 0, 1, 1, 2), (1, 2, 1, 0, 1)):
+        for radius in (3, 64):
+            assert pc(ClosureQuery([W.normalize(word)], radius)).status is ClosureStatus.EXACT
+    assert W.cache["closure_candidates"] == {}
+
+
+@pytest.mark.parametrize("name", corpus.FINITE_NAMES)
+def test_finite_presentations_match_the_scan(name):
+    # the scan's first containing candidate of the closure's rank is the
+    # least presentation pc searches for
+    W = corpus.load(name)
+    rng = random.Random(64)
+    for _ in range(100):
+        words = [[rng.randrange(W.rank) for _ in range(rng.randint(0, 10))]
+                 for _ in range(rng.randint(1, 2))]
+        query = ClosureQuery([W.normalize(word) for word in words], 64)
+        assert pc(query).closure.describe() == scan_closure(query).closure.describe(), words
+
+
 INF = float("inf")
 
 
@@ -218,19 +243,23 @@ def test_descent_that_fixes_too_little_raises(monkeypatch):
 
 
 def test_finite_group_past_the_candidate_cap_reports_the_certified_closure(monkeypatch):
-    # a fresh system, so that its candidate table is built under the lowered
-    # cap: pc needs the table only to choose the presentation
+    # a fresh system; the search for the least presentation walks at most
+    # the cap's number of elements, and this query's lies at length 3
     W = build_system(corpus.load("h3").matrix, "abc")
     monkeypatch.setattr(paraclose, "MAX_CANDIDATES", 5)
-    query = ClosureQuery([W.element("a b")], 16)
+    query = ClosureQuery([W.element("a c b a b a c")], 16)
     res = pc(query)
     assert res.status is ClosureStatus.EXACT
+    walked = paraclose._certify(W, _fixed_space(query.elements))
+    assert res.closure.describe() == walked.describe() != "(a c b, {a})"
     table = enumerate_group(W)
     oracle_p, oracle_m = brute_pc(table, query.elements)
     assert res.closure.equals(oracle_p)
     assert table.subgroup_elements(res.closure) == oracle_m
     with pytest.raises(CandidateTableTooLarge):
         scan_closure(query)
+    monkeypatch.undo()
+    assert pc(query).closure.describe() == "(a c b, {a})"
 
 
 def test_refinement_audit_records_actual_refinements(a2):

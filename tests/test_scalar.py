@@ -272,6 +272,17 @@ def test_overlong_coefficient_vector_rejected():
         ctx.scalar([1, 2, 3])
 
 
+def test_rational_constructors_take_what_coerce_takes():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    ctx = field_for(*G2)
+    assert ctx.from_rational(Fraction(1, 3)) == ctx.coerce(Fraction(1, 3))
+    assert 2 * ctx.scalar([1, Fraction(-1, 2)]) == 2 - ctx.theta
+    for bad in (0.1, "1/3", 1j):
+        for build in (ctx.from_rational, ctx.coerce, lambda q: ctx.scalar([0, q])):
+            with pytest.raises(MixedFields):
+                build(bad)
+
+
 def test_as_fraction_of_irrational_scalar_is_a_typed_error():
     field = corpus.load("b3").field
     assert field.from_rational(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
