@@ -14,8 +14,10 @@ pairs alpha_s with alpha_t to 0 when m_st = 2, so every coordinate of a
 commuting generator is left as it is.  A neighbour's coordinate moves by
 2*cos(pi/m_st) times another, which is 1 for m_st = 3 and 2 for an unbounded
 label: those edges, classified once from the labels, take one or two
-additions, and only the labels 4, 5, 6, ... a field product.  Every
-per-query action takes that step, the cached element matrices included:
+additions, and only the labels 4, 5, 6, ... a field product.  An integral
+system (every label 2, 3 or unbounded) walks rho in Z^n, and its signs are
+int comparisons; its public actions and points still hold field scalars.
+Every per-query action takes that step, the cached element matrices included:
 their columns are the roots w(alpha_t).  Dense products of the generator
 matrices are kept only as the reference route (compose_matrix and the
 descent recursion on a matrix), which the checks compare the steps against.
@@ -130,7 +132,10 @@ class CoxeterSystem:
             tuple(self.field.one if i == j else self.field.zero for j in range(n))
             for i in range(n))
         self._check_representation()
-        self._rho = (self.field.one,) * n
+        # with every label in {2, 3, inf} each dual step only negates and
+        # adds, so the rho-orbit stays in Z^n and is walked in Python ints
+        integral = not any(scaled for _, _, scaled in self._neighbours)
+        self._rho = (1 if integral else self.field.one,) * n
         self._intern: dict = {}
         self._label_sets: dict = {}
         self.identity = self._element(())
@@ -231,10 +236,16 @@ class CoxeterSystem:
         """Walk a dual point with the generators gens, given in increasing
         order: while some of them pairs negatively with the point, apply the
         smallest such one.  Returns the letters applied, in order, and the
-        final pairings; None if step_cap steps do not end the walk."""
+        final pairings; None if step_cap steps do not end the walk.  The
+        pairings are all ints (a point of an integral system's rho-orbit),
+        read by int comparison, or all field scalars, read by exact sign."""
         letters = []
+        ints = type(coords[0]) is int
         while True:
-            negative = next((s for s in gens if coords[s].sign() < 0), None)
+            if ints:
+                negative = next((s for s in gens if coords[s] < 0), None)
+            else:
+                negative = next((s for s in gens if coords[s].sign() < 0), None)
             if negative is None:
                 return letters, coords
             if len(letters) >= step_cap:
@@ -243,8 +254,20 @@ class CoxeterSystem:
             letters.append(negative)
 
     def _negative_set(self, coords) -> frozenset[int]:
-        """The generators pairing negatively with a dual point."""
+        """The generators pairing negatively with a dual point, its pairings
+        all ints or all field scalars, as for _walk_dual."""
+        if type(coords[0]) is int:
+            return self.label_set(s for s, c in enumerate(coords) if c < 0)
         return self.label_set(s for s, c in enumerate(coords) if c.sign() < 0)
+
+    def _rho_image(self, letters):
+        """The pairings of w(rho) for w the product of letters: one dual step
+        per letter, last to first, from rho itself with no coercion, so an
+        integral system's point stays in ints."""
+        q = self._rho
+        for s in reversed(letters):
+            q = self._apply_gen_dual(s, q)
+        return q
 
     # -- words and elements ----------------------------------------------------
 
@@ -332,11 +355,9 @@ class CoxeterSystem:
         point: <w(rho), alpha_s> < 0 exactly when w^{-1}(alpha_s) < 0, so s
         is the smallest left descent, and the letters walked spell the
         ShortLex-least reduced word.  The walk takes l(w) <= len(letters)
-        steps and ends at rho."""
-        q = self._rho
-        for s in reversed(letters):
-            q = self._apply_gen_dual(s, q)
-        walked = self._walk_dual(q, range(self.rank), len(letters))
+        steps and ends at rho.  An integral system walks rho in Z^n, and its
+        signs are int comparisons."""
+        walked = self._walk_dual(self._rho_image(letters), range(self.rank), len(letters))
         if walked is None or walked[1] != self._rho:
             raise InvariantViolation("the descent walk of w(rho) did not end at rho")
         return self._element(tuple(walked[0]))
@@ -393,8 +414,9 @@ class CoxeterSystem:
         word first.  Each element g carries the point g^{-1}(rho): for
         h = g*s that is s applied to g's point, one dual step.  Its negative
         pairings are h's right descents, and duplicates are recognized by
-        equal points, rho having trivial stabilizer.  A length that is not a
-        nonnegative int raises InvalidQuery.
+        equal points, rho having trivial stabilizer.  An integral system
+        walks rho in Z^n, and its signs are int comparisons.  A length that
+        is not a nonnegative int raises InvalidQuery.
         """
         require_count(length, "length")
         layers = self._bfs_layers
@@ -520,19 +542,21 @@ class GroupElement:
     @property
     def left_descents(self) -> frozenset[int]:
         """Generators s with l(s*w) < l(w): w^{-1}(alpha_s) is a negative root,
-        so <w(rho), alpha_s> < 0 for the all-ones point rho."""
+        so <w(rho), alpha_s> < 0 for the all-ones point rho.  An integral
+        system walks rho in Z^n, and its signs are int comparisons."""
         if self._left_descents is None:
             sys = self.system
-            self._left_descents = sys._negative_set(self.act_dual_coords(sys._rho))
+            self._left_descents = sys._negative_set(sys._rho_image(self.word))
         return self._left_descents
 
     @property
     def right_descents(self) -> frozenset[int]:
         """Generators t with l(w*t) < l(w): w(alpha_t) is a negative root, so
-        <rho, w(alpha_t)> < 0, one of the root pairings of rho."""
+        <rho, w(alpha_t)> < 0, one of the root pairings of rho: the pairings
+        of w^{-1}(rho), stepped as in left_descents."""
         if self._right_descents is None:
             sys = self.system
-            self._right_descents = sys._negative_set(self.root_pairings(sys._rho))
+            self._right_descents = sys._negative_set(sys._rho_image(self.word[::-1]))
         return self._right_descents
 
     def act(self, vec):

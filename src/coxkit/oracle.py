@@ -45,8 +45,9 @@ class FiniteGroupTable:
         # left_action[s][i], the index of generator_s * element_i, is found
         # by one dual step s(g_i(rho)); the inverse of g_i is the element
         # whose point is g_i^{-1}(rho), one dual step from that of the prefix
-        # of g_i's word (canonical words being closed under prefixes)
-        rho = system._rho
+        # of g_i's word (canonical words being closed under prefixes).  rho
+        # is built here in the field, whatever ring the engine walks it in
+        rho = (system.field.one,) * system.rank
         points = [g.act_dual_coords(rho) for g in self.elements]
         by_point = {p: i for i, p in enumerate(points)}
         self.left_action = [

@@ -122,7 +122,7 @@ def reflection_of_root(root: Root) -> Reflection:
     T = reflection_matrix(root)
     q = tuple(map(sum, zip(*T)))
     walked = system._walk_dual(q, range(system.rank), _REFLECTION_WORD_CAP)
-    if walked is None or walked[1] != system._rho:
+    if walked is None or walked[1] != (system.field.one,) * system.rank:
         raise NotARoot(f"vector {root} is not a root of the system")
     element = system._element(tuple(walked[0]))
     if element.matrix != T:

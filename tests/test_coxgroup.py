@@ -474,11 +474,11 @@ def _random_words(system, count, seed):
 
 def _point_descents(system, g):
     """(left, right) descents by the point route: the negative pairings of
-    w(rho) and of w^{-1}(rho)."""
-    q = system._rho
+    w(rho) and of w^{-1}(rho), with rho in the field."""
+    rho = q = (system.field.one,) * system.rank
     for s in g.word:
         q = system._apply_gen_dual(s, q)
-    return system._negative_set(g.act_dual_coords(system._rho)), system._negative_set(q)
+    return system._negative_set(g.act_dual_coords(rho)), system._negative_set(q)
 
 
 def _fill_left_table(system):
@@ -631,3 +631,94 @@ def test_bool_generator_indices_rejected(a2, flag):
         make(a2.identity, [flag])
     # the shared subset {1} holds the int, however it was first asked for
     assert [type(s) for s in a2.label_set([int(flag)])] == [int]
+
+
+# -- integral systems: rho walked in ints ------------------------------------------
+
+
+def _random_integral_system(seed):
+    """A seeded Coxeter matrix of rank 2 to 6 with labels from {2, 3, 3, inf}."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    matrix = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = rng.choice((2, 3, 3, INF))
+    return build_system(matrix)
+
+
+def _reference_word(system, word):
+    """The canonical word of a word by the dense route."""
+    return system._word_from_inverse_matrix(_inverse_matrix(system, word))
+
+
+def _reference_layers(system, length):
+    """BFS layers of canonical words by dense products: w*s is one longer
+    than w exactly when w(alpha_s), column s of M(w), is positive, and the
+    least word reaching an element is its canonical word."""
+    n = system.rank
+    layers, matrices = [((),)], {(): system._identity_matrix}
+    for _ in range(length):
+        least = {}
+        for w in layers[-1]:
+            M = matrices[w]
+            for s in range(n):
+                if _first_sign([M[i][s] for i in range(n)]) > 0:
+                    h = system._matmul(M, system._gen_matrices[s])
+                    least[h] = min(least.get(h, w + (s,)), w + (s,))
+        layers.append(tuple(sorted(least.values())))
+        matrices = {w: h for h, w in least.items()}
+    return layers
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_integral_systems_match_the_dense_route(seed):
+    system = _random_integral_system(seed)
+    assert all(type(c) is int for c in system._rho)
+    rng = random.Random(seed)
+    words = [tuple(rng.randrange(system.rank) for _ in range(rng.randint(0, 16)))
+             for _ in range(8)]
+    for u, v in zip(words, words[1:]):
+        g, h = system.normalize(u), system.normalize(v)
+        N = _inverse_matrix(system, u)
+        assert g.word == system._word_from_inverse_matrix(N)
+        assert g.left_descents == _negative_columns(system, N)
+        assert g.right_descents == _negative_columns(system, system.compose_matrix(u))
+        assert (g * h).word == _reference_word(system, u + v)
+        assert g.inverse().word == _reference_word(system, u[::-1])
+    depth = 4 if system.rank <= 4 else 3
+    layers, _ = system.elements_up_to(depth)
+    assert [tuple(g.word for g in layer) for layer in layers] == \
+        _reference_layers(system, depth)[:len(layers)]
+
+
+@pytest.mark.parametrize("name, integral", [
+    *((name, True) for name in ("a1xa1", "a2", "a3", "affine_a2", "dihedral_inf")),
+    *((name, False) for name in ("b2", "b3", "g2", "h3", "hyperbolic_334"))])
+def test_rho_holds_ints_exactly_for_integral_systems(name, integral):
+    system = parse_group_file(corpus.source(name))
+    assert all((type(c) is int) if integral else isinstance(c, FieldScalar)
+               for c in system._rho)
+    # the ints stay inside the engine: public points and matrices are scalars
+    g = system.normalize(tuple(range(system.rank)) * 2)
+    ones = (1,) * system.rank
+    for out in (g.act_dual_coords(ones), g.root_pairings(ones), *g.matrix):
+        assert all(isinstance(c, FieldScalar) for c in out)
+
+
+def test_long_word_in_the_universal_triangle_group():
+    # no braid relations: a word with no letter twice in a row is the one
+    # reduced word of its element, and w(rho) grows past 64-bit ints
+    system = build_system([[1, INF, INF], [INF, 1, INF], [INF, INF, 1]])
+    rng = random.Random(3)
+    word = [0]
+    while len(word) < 300:
+        word.append(rng.choice([s for s in range(3) if s != word[-1]]))
+    word = tuple(word)
+    g = system.normalize(word)
+    assert g.word == word == _reference_word(system, word)
+    assert g.left_descents == _negative_columns(system, _inverse_matrix(system, word))
+    assert g.right_descents == _negative_columns(system, system.compose_matrix(word))
+    point = system._rho_image(word)
+    assert all(type(c) is int for c in point)
+    assert max(map(abs, point)) > 2 ** 63

@@ -195,6 +195,60 @@ def test_dense_route_and_form_read_only_where_allowed(names, allowed):
         assert not _reads_outside(tree, names, allowed), module
 
 
+# Exactness: the engine computes in ints, Fractions and field scalars only.
+# math may name the unbounded label and integer helpers, and true division
+# appears once, where the isolating interval of theta is bisected in
+# Fractions: a / on int coordinates would silently make them floats.
+_MATH_ALLOWED = {"inf", "lcm", "prod", "factorial"}
+_DIVISION_ALLOWED = {"scalar": {"FieldContext._refine_iso"}}
+
+
+def _inexact_nodes(tree, division_allowed):
+    """(line, what) of each float literal, float(...) call, math name outside
+    _MATH_ALLOWED and true division outside the dotted scopes allowed."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, "float literal"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append((node.lineno, "float()"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and node.attr not in _MATH_ALLOWED):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.extend((node.lineno, f"math.{alias.name}") for alias in node.names
+                         if alias.name not in _MATH_ALLOWED)
+        elif (isinstance(getattr(node, "op", None), ast.Div)
+              and ".".join(scope) not in division_allowed):
+            found.append((node.lineno, "/"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_engine_arithmetic_stays_exact():
+    package = Path(coxkit.__file__).parent
+    for module in ENGINE_MODULES:
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        found = _inexact_nodes(tree, _DIVISION_ALLOWED.get(module, set()))
+        assert not found, f"{module}.py: {found}"
+
+
+def test_exactness_guard_sees_each_kind():
+    source = ("import math\nfrom math import sqrt\n"
+              "def f(x):\n    return float(x) + 0.5 + math.pi + x / 2\n"
+              "def g(x):\n    x /= 2\n    return math.inf, math.lcm(2, 3)\n")
+    found = _inexact_nodes(ast.parse(source), {"g"})
+    assert sorted(what for _, what in found) == [
+        "/", "float literal", "float()", "math.pi", "math.sqrt"]
+
+
 def test_import_leaves_oracle_and_verify_unloaded():
     # a fresh interpreter: the checking routes load only when first named
     src = str(Path(coxkit.__file__).resolve().parents[1])
