@@ -16,7 +16,10 @@ commuting generator is left as it is.  A neighbour's coordinate moves by
 label: those edges, classified once from the labels, take one or two
 additions, and only the labels 4, 5, 6, ... a field product.  An integral
 system (every label 2, 3 or unbounded) walks rho in Z^n, and its signs are
-int comparisons; its public actions and points still hold field scalars.
+int comparisons: normalize steps one list of ints in place, letter by letter,
+and walks it back to rho in place, recording the negative pairings of its
+start point, w's left descents, on the element.  Its public actions and
+points still hold field scalars.
 Every per-query action takes that step, the cached element matrices included:
 their columns are the roots w(alpha_t).  Dense products of the generator
 matrices are kept only as the reference route (compose_matrix and the
@@ -133,9 +136,14 @@ class CoxeterSystem:
             for i in range(n))
         self._check_representation()
         # with every label in {2, 3, inf} each dual step only negates and
-        # adds, so the rho-orbit stays in Z^n and is walked in Python ints
+        # adds, so the rho-orbit stays in Z^n and is walked in Python ints:
+        # one list, stepped in place by f_t += k*f_s for each (t, k) of
+        # _int_steps[s], k = 1 for a label 3 and 2 for an unbounded label
         integral = not any(scaled for _, _, scaled in self._neighbours)
         self._rho = (1 if integral else self.field.one,) * n
+        self._int_steps = tuple(
+            tuple((t, 1) for t in once) + tuple((t, 2) for t in twice)
+            for once, twice, _ in self._neighbours) if integral else None
         self._intern: dict = {}
         self._label_sets: dict = {}
         self.identity = self._element(())
@@ -237,15 +245,10 @@ class CoxeterSystem:
         order: while some of them pairs negatively with the point, apply the
         smallest such one.  Returns the letters applied, in order, and the
         final pairings; None if step_cap steps do not end the walk.  The
-        pairings are all ints (a point of an integral system's rho-orbit),
-        read by int comparison, or all field scalars, read by exact sign."""
+        pairings are field scalars, read by exact sign."""
         letters = []
-        ints = type(coords[0]) is int
         while True:
-            if ints:
-                negative = next((s for s in gens if coords[s] < 0), None)
-            else:
-                negative = next((s for s in gens if coords[s].sign() < 0), None)
+            negative = next((s for s in gens if coords[s].sign() < 0), None)
             if negative is None:
                 return letters, coords
             if len(letters) >= step_cap:
@@ -255,18 +258,29 @@ class CoxeterSystem:
 
     def _negative_set(self, coords) -> frozenset[int]:
         """The generators pairing negatively with a dual point, its pairings
-        all ints or all field scalars, as for _walk_dual."""
+        all ints (a point of an integral system's rho-orbit), read by int
+        comparison, or all field scalars, read by exact sign."""
         if type(coords[0]) is int:
             return self.label_set(s for s, c in enumerate(coords) if c < 0)
         return self.label_set(s for s, c in enumerate(coords) if c.sign() < 0)
 
     def _rho_image(self, letters):
         """The pairings of w(rho) for w the product of letters: one dual step
-        per letter, last to first, from rho itself with no coercion, so an
-        integral system's point stays in ints."""
-        q = self._rho
+        per letter, last to first.  An integral system steps one list of
+        ints in place through _int_steps; any other system steps a tuple of
+        field scalars through _apply_gen_dual."""
+        steps = self._int_steps
+        if steps is None:
+            q = self._rho
+            for s in reversed(letters):
+                q = self._apply_gen_dual(s, q)
+            return q
+        q = list(self._rho)
         for s in reversed(letters):
-            q = self._apply_gen_dual(s, q)
+            fs = q[s]
+            q[s] = -fs
+            for t, k in steps[s]:
+                q[t] += k * fs
         return q
 
     # -- words and elements ----------------------------------------------------
@@ -350,17 +364,41 @@ class CoxeterSystem:
 
     def _walk_word(self, letters) -> "GroupElement":
         """Canonical element of a word by the rho-walk: q = w(rho) takes one
-        dual step per letter, last to first.  The walk of q back to rho
-        applies, at each step, the smallest s pairing negatively with the
-        point: <w(rho), alpha_s> < 0 exactly when w^{-1}(alpha_s) < 0, so s
-        is the smallest left descent, and the letters walked spell the
+        dual step per letter, last to first (_rho_image).  The walk of q back
+        to rho applies, at each step, the smallest s pairing negatively with
+        the point: <w(rho), alpha_s> < 0 exactly when w^{-1}(alpha_s) < 0, so
+        s is the smallest left descent, and the letters walked spell the
         ShortLex-least reduced word.  The walk takes l(w) <= len(letters)
-        steps and ends at rho.  An integral system walks rho in Z^n, and its
-        signs are int comparisons."""
-        walked = self._walk_dual(self._rho_image(letters), range(self.rank), len(letters))
-        if walked is None or walked[1] != self._rho:
+        steps and ends at rho.  An integral system walks its list of ints in
+        place, and the negative pairings of its start point, w's left
+        descents, are stored on the element."""
+        steps = self._int_steps
+        q = self._rho_image(letters)
+        if steps is None:
+            walked = self._walk_dual(q, range(self.rank), len(letters))
+            if walked is None or walked[1] != self._rho:
+                raise InvariantViolation("the descent walk of w(rho) did not end at rho")
+            return self._element(tuple(walked[0]))
+        descents = [s for s, c in enumerate(q) if c < 0]
+        word, gens, cap = [], range(self.rank), len(letters)
+        while len(word) < cap:
+            for s in gens:
+                if q[s] < 0:
+                    break
+            else:
+                break
+            fs = q[s]
+            q[s] = -fs
+            for t, k in steps[s]:
+                q[t] += k * fs
+            word.append(s)
+        # a walk cut at the cap still pairs negatively with some generator
+        if any(c != 1 for c in q):
             raise InvariantViolation("the descent walk of w(rho) did not end at rho")
-        return self._element(tuple(walked[0]))
+        el = self._element(tuple(word))
+        if el._left_descents is None:
+            el._left_descents = self.label_set(descents)
+        return el
 
     def normalize(self, letters) -> "GroupElement":
         """Canonical element for an arbitrary word over the generators.
@@ -375,7 +413,11 @@ class CoxeterSystem:
         and larger finite systems keep no table and walk the word
         (_walk_word).
         """
-        letters = self.check_letters(letters)
+        return self._normalize(self.check_letters(letters))
+
+    def _normalize(self, letters: tuple[int, ...]) -> "GroupElement":
+        """normalize for letters already checked, such as those of canonical
+        words."""
         el = self._intern.get(letters)
         if el is not None:
             return el
@@ -534,16 +576,17 @@ class GroupElement:
             return NotImplemented
         if other.system is not self.system:
             raise MixedSystems("elements belong to different systems")
-        return self.system.normalize(self.word + other.word)
+        return self.system._normalize(self.word + other.word)
 
     def inverse(self) -> "GroupElement":
-        return self.system.normalize(tuple(reversed(self.word)))
+        return self.system._normalize(self.word[::-1])
 
     @property
     def left_descents(self) -> frozenset[int]:
         """Generators s with l(s*w) < l(w): w^{-1}(alpha_s) is a negative root,
         so <w(rho), alpha_s> < 0 for the all-ones point rho.  An integral
-        system walks rho in Z^n, and its signs are int comparisons."""
+        system walks rho in Z^n, and its signs are int comparisons; its
+        rho-walk (_walk_word) records them as it starts."""
         if self._left_descents is None:
             sys = self.system
             self._left_descents = sys._negative_set(sys._rho_image(self.word))

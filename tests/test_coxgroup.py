@@ -722,3 +722,81 @@ def test_long_word_in_the_universal_triangle_group():
     point = system._rho_image(word)
     assert all(type(c) is int for c in point)
     assert max(map(abs, point)) > 2 ** 63
+
+
+# -- the in-place int kernel of an integral system ------------------------------------
+
+
+_INTEGRAL_KEYS = ("a2", "a3", "affine_a2", "dihedral_inf", "triangle_inf",
+                  *(f"random{seed}" for seed in range(12)))
+
+
+def _integral_system(key):
+    """A fresh integral system: a corpus group, the (inf, inf, inf) triangle
+    group, or the seeded random file of test_integral_systems_match_the_dense_route."""
+    if key == "triangle_inf":
+        return build_system([[1, INF, INF], [INF, 1, INF], [INF, INF, 1]])
+    if key.startswith("random"):
+        return _random_integral_system(int(key[len("random"):]))
+    return parse_group_file(corpus.source(key))
+
+
+@pytest.mark.parametrize("key", _INTEGRAL_KEYS)
+def test_int_kernel_matches_the_dense_route_on_long_words(key):
+    # the dense route composes M(w) and M(w^{-1}) once per word; a product's
+    # matrices are products of those, and M(w) is the inverse matrix of w^{-1}
+    system = _integral_system(key)
+    assert system._int_steps is not None
+    rng = random.Random(key)
+    words = [tuple(rng.randrange(system.rank) for _ in range(length))
+             for length in (0, 1, 5, 31, 90, 200)]
+    dense = {u: (system.compose_matrix(u), _inverse_matrix(system, u)) for u in words}
+    for u, v in zip(words, words[1:] + words[:1]):
+        (M, N), (Mv, Nv) = dense[u], dense[v]
+        g = system._walk_word(u)
+        # the left descents the walk recorded, read before any descent call
+        assert g._left_descents is not None
+        assert g._left_descents == _negative_columns(system, N)
+        assert g.word == system._word_from_inverse_matrix(N)
+        assert system.normalize(u) is g
+        assert g.right_descents == _negative_columns(system, M)
+        h = system.normalize(v)
+        assert (g * h).word == system._word_from_inverse_matrix(system._matmul(Nv, N))
+        assert g.inverse().word == system._word_from_inverse_matrix(M)
+
+
+def test_int_kernel_refuses_a_walk_that_ends_away_from_rho(monkeypatch):
+    # (1, 2) pairs positively with every simple root but is not rho: its walk
+    # takes no step and ends away from rho.  (-1, -1) is no point of the
+    # rho-orbit either, and its walk does not end within the word's length
+    system = parse_group_file(corpus.source("a2"))
+    for point in ([1, 2], [-1, -1]):
+        monkeypatch.setattr(system, "_rho_image", lambda letters, point=point: list(point))
+        with pytest.raises(InvariantViolation):
+            system._walk_word((0,))
+
+
+# 2 is a2's rank, one past its last generator index
+@pytest.mark.parametrize("letter", [1.0, -1, 2, "a", None, (0, True)])
+def test_letters_outside_the_generators_rejected(a2, letter):
+    with pytest.raises(UnknownGenerator):
+        a2.normalize((0, letter))
+    with pytest.raises(UnknownGenerator):
+        a2.generator(letter)
+    if letter == (0, True):
+        # passed as the whole word, True is its bad letter
+        with pytest.raises(UnknownGenerator):
+            a2.normalize(letter)
+
+
+@pytest.mark.parametrize("name", corpus.NAMES)
+def test_products_and_inverses_of_canonical_words_match_normalize(name):
+    # __mul__ and inverse pass canonical letters on unchecked; the same
+    # letters through the checked normalize give the same elements
+    system = parse_group_file(corpus.source(name))
+    rng = random.Random(name)
+    elements = [system.normalize([rng.randrange(system.rank) for _ in range(rng.randint(0, 30))])
+                for _ in range(12)]
+    for g, h in zip(elements, elements[1:]):
+        assert g * h is system.normalize(g.word + h.word)
+        assert g.inverse() is system.normalize(reversed(g.word))
