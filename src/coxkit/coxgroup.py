@@ -14,12 +14,15 @@ pairs alpha_s with alpha_t to 0 when m_st = 2, so every coordinate of a
 commuting generator is left as it is.  A neighbour's coordinate moves by
 2*cos(pi/m_st) times another, which is 1 for m_st = 3 and 2 for an unbounded
 label: those edges, classified once from the labels, take one or two
-additions, and only the labels 4, 5, 6, ... a field product.  An integral
-system (every label 2, 3 or unbounded) walks rho in Z^n, and its signs are
-int comparisons: normalize steps one list of ints in place, letter by letter,
-and walks it back to rho in place, recording the negative pairings of its
-start point, w's left descents, on the element.  Its public actions and
-points still hold field scalars.
+additions, and only the labels 4, 5, 6, ... a field product.
+There is one dual step (_apply_gen_dual, on a list in place) and one walk
+built on it (_walk_dual): normalize, locate, stabilizer, intersect and
+reflection_of_root walk, and the descent sets, the BFS and the dual actions
+step.  The only difference between systems is the ring of rho: an
+integral system (every label 2, 3 or unbounded) keeps rho in Z^n, so its
+rho-orbit is walked in Python ints and its signs are int comparisons; any
+other system keeps rho in the field.  Public actions and points hold field
+scalars in every system.
 Every per-query action takes that step, the cached element matrices included:
 their columns are the roots w(alpha_t).  Dense products of the generator
 matrices are kept only as the reference route (compose_matrix and the
@@ -40,8 +43,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import (DimensionMismatch, InvalidMatrix, InvariantViolation,
-                     MixedSystems, UnknownGenerator, require_count)
+from .errors import (DimensionMismatch, InvalidMatrix, InvalidQuery, InvariantViolation,
+                     MixedSystems, UnknownGenerator, require_count, require_iterable)
 from .scalar import INFINITY, FieldContext, FieldScalar, build_field, cos_pi_over, validate_matrix
 
 _DEFAULT_LABELS = "abcdefghijklmnopqrstuvwxyz"
@@ -110,6 +113,7 @@ class CoxeterSystem:
             raise InvalidMatrix("labels must be distinct nonempty tokens")
         self.labels = labels
         self._index = {l: i for i, l in enumerate(labels)}
+        self._gens = frozenset(range(self.rank))
         self.field: FieldContext = build_field(self.matrix)
         n = self.rank
         form = []
@@ -122,13 +126,14 @@ class CoxeterSystem:
             form.append(tuple(row))
         self.form = tuple(form)
         self._gen_matrices = tuple(self._build_generator_matrix(s) for s in range(n))
-        # the Coxeter-graph neighbours t of s, split by the label m_st: the
-        # step coefficient -2*B(alpha_s, alpha_t) = 2*cos(pi/m_st) is 1 for
-        # m_st = 3 and 2 for an unbounded label; every finite label m_st >= 4
-        # makes it irrational, and it is kept as a field scalar
+        # the Coxeter-graph neighbours t of s with m_st != 2, as (adds,
+        # scaled): the step coefficient -2*B(alpha_s, alpha_t) = 2*cos(pi/m_st)
+        # is 1 for m_st = 3 and 2 for an unbounded label, so adds lists t
+        # once or twice; every finite label m_st >= 4 makes it irrational,
+        # and scaled keeps the pairs (t, 2*cos(pi/m_st)) as field scalars
         self._neighbours = tuple(
-            (tuple(t for t, m in enumerate(m_row) if m == 3),
-             tuple(t for t, m in enumerate(m_row) if m == INFINITY),
+            (tuple(t for t, m in enumerate(m_row) if m in (3, INFINITY))
+             + tuple(t for t, m in enumerate(m_row) if m == INFINITY),
              tuple((t, -2 * b) for t, (m, b) in enumerate(zip(m_row, b_row)) if 3 < m < INFINITY))
             for m_row, b_row in zip(self.matrix, self.form))
         self._identity_matrix = tuple(
@@ -136,14 +141,9 @@ class CoxeterSystem:
             for i in range(n))
         self._check_representation()
         # with every label in {2, 3, inf} each dual step only negates and
-        # adds, so the rho-orbit stays in Z^n and is walked in Python ints:
-        # one list, stepped in place by f_t += k*f_s for each (t, k) of
-        # _int_steps[s], k = 1 for a label 3 and 2 for an unbounded label
-        integral = not any(scaled for _, _, scaled in self._neighbours)
+        # adds, so the rho-orbit stays in Z^n and is walked in Python ints
+        integral = not any(scaled for _, scaled in self._neighbours)
         self._rho = (1 if integral else self.field.one,) * n
-        self._int_steps = tuple(
-            tuple((t, 1) for t in once) + tuple((t, 2) for t in twice)
-            for once, twice, _ in self._neighbours) if integral else None
         self._intern: dict = {}
         self._label_sets: dict = {}
         self.identity = self._element(())
@@ -209,78 +209,68 @@ class CoxeterSystem:
         once and an unbounded label twice; only the labels 4, 5, 6, ...
         take a field product.  Every other coordinate comes back as the same
         object."""
-        once, twice, scaled = self._neighbours[s]
+        adds, scaled = self._neighbours[s]
         acc = -vec[s]
-        for t in once:
+        for t in adds:
             acc = acc + vec[t]
-        for t in twice:
-            acc = acc + vec[t] + vec[t]
         for t, c in scaled:
             acc = acc + c * vec[t]
         out = list(vec)
         out[s] = acc
         return tuple(out)
 
-    def _apply_gen_dual(self, s: int, coords):
-        """The dual action of sigma_s on a point given by its pairings with
-        the simple roots: f_t -> f_t - 2*B[s][t]*f_s.  That is f_s -> -f_s,
-        f_t -> f_t + 2*cos(pi/m_st) * f_s for the neighbours t of s: f_s is
-        added once for a label 3 and twice for an unbounded label, and only
-        the labels 4, 5, 6, ... take a field product.  A commuting t's
-        coordinate (and cached sign) is kept as the same object."""
-        fs = coords[s]
-        out = list(coords)
-        out[s] = -fs
-        once, twice, scaled = self._neighbours[s]
-        for t in once:
-            out[t] = coords[t] + fs
-        for t in twice:
-            out[t] = coords[t] + fs + fs
-        for t, c in scaled:
-            out[t] = coords[t] + c * fs
-        return tuple(out)
+    def _apply_gen_dual(self, s: int, q) -> None:
+        """The dual action of sigma_s, in place on a list q of a point's
+        pairings with the simple roots: f_t -> f_t - 2*B[s][t]*f_s.  That is
+        f_s -> -f_s, f_t -> f_t + 2*cos(pi/m_st) * f_s for the neighbours t
+        of s: f_s is added once for a label 3 and twice for an unbounded
+        label, and only the labels 4, 5, 6, ... take a field product.  The
+        pairings are ints or field scalars alike; a commuting t's coordinate
+        (and cached sign) is left as the same object."""
+        fs = q[s]
+        q[s] = -fs
+        adds, scaled = self._neighbours[s]
+        for t in adds:
+            q[t] += fs
+        if scaled:
+            for t, c in scaled:
+                q[t] += c * fs
 
-    def _walk_dual(self, coords, gens, step_cap: int):
-        """Walk a dual point with the generators gens, given in increasing
-        order: while some of them pairs negatively with the point, apply the
-        smallest such one.  Returns the letters applied, in order, and the
-        final pairings; None if step_cap steps do not end the walk.  The
-        pairings are field scalars, read by exact sign."""
-        letters = []
+    def _dual_image(self, s: int, coords) -> tuple:
+        """sigma_s applied to a dual point, as a new tuple: the hashable form
+        of _apply_gen_dual, for tables keyed by point."""
+        q = list(coords)
+        self._apply_gen_dual(s, q)
+        return tuple(q)
+
+    def _walk_dual(self, q, gens, step_cap: int):
+        """Walk a dual point, the list q of its pairings, stepped in place,
+        with the generators gens, given in increasing order: while some of
+        them pairs negatively with the point, apply the smallest such one.
+        Returns the letters applied, in order, or None if step_cap steps do
+        not end the walk; either way q is left at the point reached."""
+        letters, step = [], self._apply_gen_dual
         while True:
-            negative = next((s for s in gens if coords[s].sign() < 0), None)
-            if negative is None:
-                return letters, coords
+            for s in gens:
+                if q[s] < 0:
+                    break
+            else:
+                return letters
             if len(letters) >= step_cap:
                 return None
-            coords = self._apply_gen_dual(negative, coords)
-            letters.append(negative)
+            step(s, q)
+            letters.append(s)
 
     def _negative_set(self, coords) -> frozenset[int]:
-        """The generators pairing negatively with a dual point, its pairings
-        all ints (a point of an integral system's rho-orbit), read by int
-        comparison, or all field scalars, read by exact sign."""
-        if type(coords[0]) is int:
-            return self.label_set(s for s, c in enumerate(coords) if c < 0)
-        return self.label_set(s for s, c in enumerate(coords) if c.sign() < 0)
+        """The generators pairing negatively with a dual point."""
+        return self.label_set(s for s, c in enumerate(coords) if c < 0)
 
-    def _rho_image(self, letters):
-        """The pairings of w(rho) for w the product of letters: one dual step
-        per letter, last to first.  An integral system steps one list of
-        ints in place through _int_steps; any other system steps a tuple of
-        field scalars through _apply_gen_dual."""
-        steps = self._int_steps
-        if steps is None:
-            q = self._rho
-            for s in reversed(letters):
-                q = self._apply_gen_dual(s, q)
-            return q
-        q = list(self._rho)
+    def _rho_image(self, letters) -> list:
+        """The pairings of w(rho) for w the product of letters, as a list:
+        one dual step per letter, last to first."""
+        q, step = list(self._rho), self._apply_gen_dual
         for s in reversed(letters):
-            fs = q[s]
-            q[s] = -fs
-            for t, k in steps[s]:
-                q[t] += k * fs
+            step(s, q)
         return q
 
     # -- words and elements ----------------------------------------------------
@@ -295,6 +285,8 @@ class CoxeterSystem:
     def parse_word(self, text: str) -> tuple[int, ...]:
         """Whitespace-separated generator labels; the empty string (or 'e',
         when 'e' is not itself a label) denotes the identity."""
+        if not isinstance(text, str):
+            raise InvalidQuery(f"word text {text!r} is not a string")
         text = text.strip()
         if not text or (text == "e" and "e" not in self._index):
             return ()
@@ -311,11 +303,14 @@ class CoxeterSystem:
         return " ".join(self.labels[s] for s in letters)
 
     def check_letters(self, letters) -> tuple[int, ...]:
-        letters = tuple(letters)
-        for s in letters:
-            # bool is an int subclass, but True is no generator index
-            if isinstance(s, bool) or not (isinstance(s, int) and 0 <= s < self.rank):
-                raise UnknownGenerator(f"generator index {s!r} out of range")
+        letters = tuple(require_iterable(letters, "word"))
+        # a word of plain int indices passes at C speed; anything else is
+        # checked letter by letter
+        if not (set(map(type, letters)) <= {int} and self._gens.issuperset(letters)):
+            for s in letters:
+                # bool is an int subclass, but True is no generator index
+                if isinstance(s, bool) or not (isinstance(s, int) and 0 <= s < self.rank):
+                    raise UnknownGenerator(f"generator index {s!r} out of range")
         return letters
 
     def _element(self, reduced_word: tuple[int, ...]) -> "GroupElement":
@@ -369,31 +364,13 @@ class CoxeterSystem:
         the point: <w(rho), alpha_s> < 0 exactly when w^{-1}(alpha_s) < 0, so
         s is the smallest left descent, and the letters walked spell the
         ShortLex-least reduced word.  The walk takes l(w) <= len(letters)
-        steps and ends at rho.  An integral system walks its list of ints in
-        place, and the negative pairings of its start point, w's left
-        descents, are stored on the element."""
-        steps = self._int_steps
+        steps and ends at rho; the negative pairings of its start point, w's
+        left descents, are stored on the element."""
         q = self._rho_image(letters)
-        if steps is None:
-            walked = self._walk_dual(q, range(self.rank), len(letters))
-            if walked is None or walked[1] != self._rho:
-                raise InvariantViolation("the descent walk of w(rho) did not end at rho")
-            return self._element(tuple(walked[0]))
         descents = [s for s, c in enumerate(q) if c < 0]
-        word, gens, cap = [], range(self.rank), len(letters)
-        while len(word) < cap:
-            for s in gens:
-                if q[s] < 0:
-                    break
-            else:
-                break
-            fs = q[s]
-            q[s] = -fs
-            for t, k in steps[s]:
-                q[t] += k * fs
-            word.append(s)
+        word = self._walk_dual(q, range(self.rank), len(letters))
         # a walk cut at the cap still pairs negatively with some generator
-        if any(c != 1 for c in q):
+        if word is None or tuple(q) != self._rho:
             raise InvariantViolation("the descent walk of w(rho) did not end at rho")
         el = self._element(tuple(word))
         if el._left_descents is None:
@@ -456,9 +433,8 @@ class CoxeterSystem:
         word first.  Each element g carries the point g^{-1}(rho): for
         h = g*s that is s applied to g's point, one dual step.  Its negative
         pairings are h's right descents, and duplicates are recognized by
-        equal points, rho having trivial stabilizer.  An integral system
-        walks rho in Z^n, and its signs are int comparisons.  A length that
-        is not a nonnegative int raises InvalidQuery.
+        equal points, rho having trivial stabilizer.  A length that is not a
+        nonnegative int raises InvalidQuery.
         """
         require_count(length, "length")
         layers = self._bfs_layers
@@ -469,7 +445,7 @@ class CoxeterSystem:
                 for s in range(self.rank):
                     if s in g.right_descents:
                         continue
-                    q = self._apply_gen_dual(s, p)
+                    q = self._dual_image(s, p)
                     if q in seen:
                         continue
                     seen.add(q)
@@ -501,7 +477,7 @@ class CoxeterSystem:
         """coords as a tuple of scalars of this system's field, one per
         generator: ints and Fractions are converted, anything else raises
         MixedFields."""
-        coords = tuple(coords)
+        coords = tuple(require_iterable(coords, "coordinates"))
         if len(coords) != self.rank:
             raise DimensionMismatch("coordinate length does not match the rank")
         return tuple(map(self.field.coerce, coords))
@@ -516,7 +492,7 @@ class CoxeterSystem:
         if type(gens) is frozenset and self._label_sets.get(gens) is gens:
             return gens
         out = set()
-        for g in gens:
+        for g in require_iterable(gens, "generator set"):
             if isinstance(g, str):
                 if g not in self._index:
                     raise UnknownGenerator(f"unknown generator label {g!r}")
@@ -584,9 +560,8 @@ class GroupElement:
     @property
     def left_descents(self) -> frozenset[int]:
         """Generators s with l(s*w) < l(w): w^{-1}(alpha_s) is a negative root,
-        so <w(rho), alpha_s> < 0 for the all-ones point rho.  An integral
-        system walks rho in Z^n, and its signs are int comparisons; its
-        rho-walk (_walk_word) records them as it starts."""
+        so <w(rho), alpha_s> < 0 for the all-ones point rho.  The rho-walk
+        (_walk_word) records them as it starts."""
         if self._left_descents is None:
             sys = self.system
             self._left_descents = sys._negative_set(sys._rho_image(self.word))
@@ -615,20 +590,20 @@ class GroupElement:
         """Dual action on pairing coordinates: <w f, alpha_t> = <f, w^{-1} alpha_t>.
         Coordinates are coerced into the system's field, as for DualPoint."""
         sys = self.system
-        out = sys._field_coords(coords)
+        out = list(sys._field_coords(coords))
         for s in reversed(self.word):
-            out = sys._apply_gen_dual(s, out)
-        return out
+            sys._apply_gen_dual(s, out)
+        return tuple(out)
 
     def root_pairings(self, coords):
         """The pairings <f, w(alpha_t)> = <w^{-1} f, alpha_t>: the dual action
         of w^{-1} on f, one generator step per letter, first to last.
         Coordinates are coerced into the system's field, as for DualPoint."""
         sys = self.system
-        out = sys._field_coords(coords)
+        out = list(sys._field_coords(coords))
         for s in self.word:
-            out = sys._apply_gen_dual(s, out)
-        return out
+            sys._apply_gen_dual(s, out)
+        return tuple(out)
 
     def fixes_dual_coords(self, coords) -> bool:
         """Whether the dual action fixes the point f, as w^{-1} does: iff

@@ -1,5 +1,7 @@
-"""Exception hierarchy shared by all coxkit modules, and the one check of
-the integer arguments (radius, depth, length, caps) that raises InvalidQuery.
+"""Exception hierarchy shared by all coxkit modules, and the checks that
+raise InvalidQuery: one for the integer arguments (radius, depth, length,
+caps) and one for the arguments iterated over (words, generator sets,
+coordinates, closure query elements).
 
 Every domain error raised by the library derives from CoxeterError, so
 callers (and the command line driver) can distinguish "the input is
@@ -26,7 +28,9 @@ class IncompatibleOrder(CoxeterError):
 
 class InvalidQuery(CoxeterError, ValueError):
     """A query's arguments are out of range (no elements, or a radius, depth,
-    length or cap that is not a nonnegative int: require_count)."""
+    length or cap that is not a nonnegative int: require_count), or of the
+    wrong kind (a word, set or point that cannot be iterated over:
+    require_iterable; word text that is not a string)."""
 
 
 class IrrationalScalar(CoxeterError, ValueError):
@@ -92,3 +96,12 @@ def require_count(value, what: str, positive: bool = False) -> int:
         kind = "positive" if positive else "nonnegative"
         raise InvalidQuery(f"{what} {value!r} is not a {kind} integer")
     return value
+
+
+def require_iterable(value, what: str):
+    """An iterator over value; a value that cannot be iterated over raises
+    InvalidQuery naming it as what."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise InvalidQuery(f"{what} {value!r} is not iterable") from None

@@ -51,11 +51,11 @@ class FiniteGroupTable:
         points = [g.act_dual_coords(rho) for g in self.elements]
         by_point = {p: i for i, p in enumerate(points)}
         self.left_action = [
-            [by_point[system._apply_gen_dual(s, p)] for p in points]
+            [by_point[system._dual_image(s, p)] for p in points]
             for s in range(system.rank)]
         inverse_points = {(): rho}
         for g in self.elements[1:]:
-            inverse_points[g.word] = system._apply_gen_dual(
+            inverse_points[g.word] = system._dual_image(
                 g.word[-1], inverse_points[g.word[:-1]])
         self.inverse = [by_point[inverse_points[g.word]] for g in self.elements]
         self._subgroups: dict[frozenset[int], frozenset[int]] = {}

@@ -42,7 +42,7 @@ from math import prod
 
 from .coxgroup import CoxeterSystem
 from .errors import (CandidateTableTooLarge, InvalidQuery, InvariantViolation, MixedSystems,
-                     require_count)
+                     require_count, require_iterable)
 from .parabolic import Parabolic, _intersect_stabilizer, intersect, make
 from .titscone import DualPoint, cone_components, stabilizer
 
@@ -66,7 +66,7 @@ class ClosureQuery:
     __slots__ = ("elements", "radius")
 
     def __init__(self, elements, radius: int):
-        elements = tuple(elements)
+        elements = tuple(require_iterable(elements, "closure query elements"))
         if not elements:
             raise InvalidQuery("closure query needs at least one element")
         system = elements[0].system
@@ -295,7 +295,7 @@ def _least_presentation(closure: Parabolic, radius: int) -> Parabolic:
             break
         for w in system.elements_up_to(length)[0][length]:
             if w.word:
-                points[w.word] = system._apply_gen_dual(w.word[-1], points[w.word[:-1]])
+                points[w.word] = system._dual_image(w.word[-1], points[w.word[:-1]])
             I = [s for s, c in enumerate(points[w.word]) if c.is_zero()]
             if len(I) == closure.rank:
                 return make(w, I)

@@ -120,11 +120,11 @@ def reflection_of_root(root: Root) -> Reflection:
     if root.norm() != 1:
         raise NotARoot(f"vector {root} does not have unit norm")
     T = reflection_matrix(root)
-    q = tuple(map(sum, zip(*T)))
-    walked = system._walk_dual(q, range(system.rank), _REFLECTION_WORD_CAP)
-    if walked is None or walked[1] != (system.field.one,) * system.rank:
+    q = list(map(sum, zip(*T)))
+    letters = system._walk_dual(q, range(system.rank), _REFLECTION_WORD_CAP)
+    if letters is None or q != [system.field.one] * system.rank:
         raise NotARoot(f"vector {root} is not a root of the system")
-    element = system._element(tuple(walked[0]))
+    element = system._element(tuple(letters))
     if element.matrix != T:
         raise NotARoot(f"vector {root} is not a root of the system")
     return Reflection(element, root)

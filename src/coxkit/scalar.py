@@ -447,6 +447,9 @@ class FieldScalar:
         return hash(self.coeffs)
 
     def __lt__(self, other):
+        # the walks' sign test, q[s] < 0: no coercion, subtraction or fresh sign
+        if type(other) is int and other == 0:
+            return self.sign() < 0
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -86,12 +86,13 @@ def _walk(f: DualPoint, gens, step_cap: int) -> tuple[list[int], tuple]:
     walk never takes more than step_cap steps (StepCapExceeded); a cap that
     is not a nonnegative int is an InvalidQuery.
     """
-    walked = f.system._walk_dual(f.coords, gens, require_count(step_cap, "step cap"))
-    if walked is None:
+    coords = list(f.coords)
+    letters = f.system._walk_dual(coords, gens, require_count(step_cap, "step cap"))
+    if letters is None:
         raise StepCapExceeded(
             f"no dominant representative within {step_cap} steps; "
             "the point may lie outside the Tits cone")
-    return walked
+    return letters, tuple(coords)
 
 
 def locate(f: DualPoint, step_cap: int = DEFAULT_STEP_CAP) -> CellLocation:

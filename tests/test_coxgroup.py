@@ -16,6 +16,7 @@ from coxkit.errors import (DimensionMismatch, InvalidMatrix, InvalidQuery,
 from coxkit.oracle import enumerate_group
 from coxkit.parabolic import intersect, make
 from coxkit.paraclose import ClosureQuery, pc
+from coxkit.roots import Root
 from coxkit.titscone import DualPoint, cone_components, locate
 from coxkit.scalar import INFINITY, FieldScalar
 
@@ -304,8 +305,10 @@ def test_generator_actions_through_the_neighbour_table(data):
     f = data.draw(_field_points(system))
     n, zero = system.rank, system.field.zero
     for s in range(n):
-        dual = system._apply_gen_dual(s, f)
-        assert dual == tuple(f[t] - 2 * system.form[s][t] * f[s] for t in range(n))
+        dual = list(f)
+        system._apply_gen_dual(s, dual)
+        assert dual == [f[t] - 2 * system.form[s][t] * f[s] for t in range(n)]
+        assert system._dual_image(s, f) == tuple(dual)
         M = system._gen_matrices[s]
         vec = system._apply_gen_vec(s, f)
         assert vec == tuple(sum((M[i][j] * f[j] for j in range(n)), zero) for i in range(n))
@@ -341,7 +344,7 @@ def test_generator_steps_multiply_only_on_irrational_labels(monkeypatch, system,
     for s, expected in enumerate(products):
         for step in (system._apply_gen_dual, system._apply_gen_vec):
             del calls[:]
-            step(s, point)
+            step(s, list(point))
             assert len(calls) == expected, (step.__name__, s)
 
 
@@ -475,9 +478,10 @@ def _random_words(system, count, seed):
 def _point_descents(system, g):
     """(left, right) descents by the point route: the negative pairings of
     w(rho) and of w^{-1}(rho), with rho in the field."""
-    rho = q = (system.field.one,) * system.rank
+    rho = (system.field.one,) * system.rank
+    q = list(rho)
     for s in g.word:
-        q = system._apply_gen_dual(s, q)
+        system._apply_gen_dual(s, q)
     return system._negative_set(g.act_dual_coords(rho)), system._negative_set(q)
 
 
@@ -724,7 +728,7 @@ def test_long_word_in_the_universal_triangle_group():
     assert max(map(abs, point)) > 2 ** 63
 
 
-# -- the in-place int kernel of an integral system ------------------------------------
+# -- one dual step and one walk, on int and field points alike ---------------------
 
 
 _INTEGRAL_KEYS = ("a2", "a3", "affine_a2", "dihedral_inf", "triangle_inf",
@@ -746,7 +750,7 @@ def test_int_kernel_matches_the_dense_route_on_long_words(key):
     # the dense route composes M(w) and M(w^{-1}) once per word; a product's
     # matrices are products of those, and M(w) is the inverse matrix of w^{-1}
     system = _integral_system(key)
-    assert system._int_steps is not None
+    assert all(type(c) is int for c in system._rho)
     rng = random.Random(key)
     words = [tuple(rng.randrange(system.rank) for _ in range(length))
              for length in (0, 1, 5, 31, 90, 200)]
@@ -766,14 +770,87 @@ def test_int_kernel_matches_the_dense_route_on_long_words(key):
 
 
 def test_int_kernel_refuses_a_walk_that_ends_away_from_rho(monkeypatch):
-    # (1, 2) pairs positively with every simple root but is not rho: its walk
-    # takes no step and ends away from rho.  (-1, -1) is no point of the
-    # rho-orbit either, and its walk does not end within the word's length
-    system = parse_group_file(corpus.source("a2"))
-    for point in ([1, 2], [-1, -1]):
-        monkeypatch.setattr(system, "_rho_image", lambda letters, point=point: list(point))
-        with pytest.raises(InvariantViolation):
-            system._walk_word((0,))
+    # (1, 2, 1, ...) pairs positively with every simple root but is not rho:
+    # its walk takes no step and ends away from rho.  (-1, ..., -1) is no
+    # point of the rho-orbit either, and its walk does not end within the
+    # word's length.  The one walk refuses both in ints (a2) and in the
+    # field (hyperbolic_334)
+    for name in ("a2", "hyperbolic_334"):
+        system = parse_group_file(corpus.source(name))
+        one = system._rho[0]
+        for point in ([one, one + one] + [one] * (system.rank - 2), [-one] * system.rank):
+            monkeypatch.setattr(system, "_rho_image", lambda letters, point=point: list(point))
+            with pytest.raises(InvariantViolation):
+                system._walk_word((0,))
+
+
+_INTEGRAL_CORPUS = tuple(name for name in corpus.NAMES
+                         if all(m in (1, 2, 3, INF) for row in corpus.load(name).matrix
+                                for m in row))
+
+
+@pytest.mark.parametrize("name", _INTEGRAL_CORPUS)
+def test_one_walk_spells_the_same_word_in_ints_and_in_the_field(name):
+    # normalize walks rho in ints; the same step and walk on the field
+    # rho-image spell the same canonical word and end at the field rho
+    system = corpus.load(name)
+    assert len(_INTEGRAL_CORPUS) == 5 and all(type(c) is int for c in system._rho)
+    rho = [system.field.one] * system.rank
+    for u in _random_words(system, 30, seed=5):
+        q = list(rho)
+        for s in reversed(u):
+            system._apply_gen_dual(s, q)
+        assert all(type(c) is FieldScalar for c in q)
+        assert tuple(system._walk_dual(q, range(system.rank), len(u))) == system.normalize(u).word
+        assert q == rho
+
+
+@pytest.mark.parametrize("name", ["affine_a2", "hyperbolic_334"])
+def test_walk_dual_leaves_its_list_where_it_stopped(name):
+    # w(f) for f in the open fundamental chamber walks back to f, spelling
+    # w's canonical word; a walk cut at the cap k stops at the point the
+    # first k letters reach
+    system = corpus.load(name)
+    word = system.normalize(tuple(range(system.rank)) * 3).word
+    assert len(word) >= 6
+    chambers = [[system.field.coerce(c) for c in (1, 2, 3)]]
+    if all(type(c) is int for c in system._rho):
+        chambers.append([1, 2, 3])
+    for f in chambers:
+        start = list(f)
+        for s in reversed(word):
+            system._apply_gen_dual(s, start)
+        q = list(start)
+        assert tuple(system._walk_dual(q, range(system.rank), len(word))) == word
+        assert q == f and all(type(c) is type(f[0]) for c in q)
+        point = list(start)
+        for k in range(len(word)):
+            q = list(start)
+            assert system._walk_dual(q, range(system.rank), k) is None
+            assert q == point
+            system._apply_gen_dual(word[k], point)
+
+
+_NON_ITERABLE_CALLS = {
+    "normalize(None)": lambda W: W.normalize(None),
+    "normalize(5)": lambda W: W.normalize(5),
+    "label_set(5)": lambda W: W.label_set(5),
+    "make(w, 3)": lambda W: make(W.generator(0), 3),
+    "DualPoint(W, None)": lambda W: DualPoint(W, None),
+    "Root(W, 5)": lambda W: Root(W, 5),
+    "act(None)": lambda W: W.generator(0).act(None),
+    "root_pairings(5)": lambda W: W.generator(0).root_pairings(5),
+    "ClosureQuery(5, r)": lambda W: ClosureQuery(5, 3),
+    "element(None)": lambda W: W.element(None),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NON_ITERABLE_CALLS))
+def test_non_iterable_input_is_a_typed_error(a2, call):
+    # a word, set, point or element list that cannot be iterated over, or
+    # word text that is not a string, is refused with InvalidQuery
+    with pytest.raises(InvalidQuery):
+        _NON_ITERABLE_CALLS[call](a2)
 
 
 # 2 is a2's rank, one past its last generator index

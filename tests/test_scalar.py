@@ -347,6 +347,21 @@ def test_comparisons_are_an_order(a, b):
     assert (a < b) or (a == b) or (a > b)
 
 
+@given(st.sampled_from(corpus.NAMES), st.data())
+def test_less_than_zero_is_the_sign(name, data):
+    # the walks' sign test q[s] < 0 takes a fast path for the int 0; a
+    # fresh copy of the scalar keeps the two sides from sharing a cached sign
+    field = corpus.load(name).field
+    coeffs = data.draw(st.lists(st.fractions(-4, 4, max_denominator=6),
+                                min_size=field.degree, max_size=field.degree))
+    assert (field.scalar(coeffs) < 0) == (field.scalar(coeffs).sign() < 0)
+    assert (field.scalar(coeffs) < 1) == ((field.scalar(coeffs) - 1).sign() < 0)
+    assert not field.zero < 0 and not field.scalar([0] * field.degree) < 0
+    other = corpus.load("h3" if name != "h3" else "b3").field
+    with pytest.raises(MixedFields):
+        field.scalar(coeffs) < other.zero
+
+
 _PRODUCT_FIELDS = {L: field_for((1, L), (L, 1)) for L in (4, 5, 12, 15)}
 
 
