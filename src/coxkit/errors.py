@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all coxkit modules, and the checks that
 raise InvalidQuery: one for the integer arguments (radius, depth, length,
-caps) and one for the arguments iterated over (words, generator sets,
-coordinates, closure query elements).
+caps), one for the arguments iterated over (words, generator sets,
+coordinates, closure query elements) and one for the arguments that must be
+coxkit objects (group elements, parabolics, dual points).
 
 Every domain error raised by the library derives from CoxeterError, so
 callers (and the command line driver) can distinguish "the input is
@@ -30,7 +31,8 @@ class InvalidQuery(CoxeterError, ValueError):
     """A query's arguments are out of range (no elements, or a radius, depth,
     length or cap that is not a nonnegative int: require_count), or of the
     wrong kind (a word, set or point that cannot be iterated over:
-    require_iterable; word text that is not a string)."""
+    require_iterable; an element, parabolic or point of another type:
+    require_instance; word text that is not a string)."""
 
 
 class IrrationalScalar(CoxeterError, ValueError):
@@ -105,3 +107,11 @@ def require_iterable(value, what: str):
         return iter(value)
     except TypeError:
         raise InvalidQuery(f"{what} {value!r} is not iterable") from None
+
+
+def require_instance(value, kind: type, what: str):
+    """value itself if it is an instance of kind; anything else raises
+    InvalidQuery naming it as what."""
+    if not isinstance(value, kind):
+        raise InvalidQuery(f"{what} {value!r} is not a {kind.__name__}")
+    return value

@@ -12,7 +12,7 @@ intersection is one walk restricted to W_I.
 from __future__ import annotations
 
 from .coxgroup import CoxeterSystem, GroupElement
-from .errors import InvariantViolation, MixedSystems
+from .errors import InvariantViolation, MixedSystems, require_instance
 from .titscone import DEFAULT_STEP_CAP, DualPoint, _walk, fundamental_point, locate
 
 
@@ -71,7 +71,7 @@ def make(w: GroupElement, gens) -> Parabolic:
     descent of x; s*x is again shortest in its coset, so the walk is the
     descent recursion of x, as in normalize, and takes l(x) <= l(w) steps.
     """
-    system = w.system
+    system = require_instance(w, GroupElement, "coset representative").system
     I = system.label_set(gens)
     f = fundamental_point(system, I)
     base = f.transformed_by(w)
@@ -84,7 +84,8 @@ def make(w: GroupElement, gens) -> Parabolic:
 def intersect(p1: Parabolic, p2: Parabolic) -> Parabolic:
     """The intersection of two parabolic subgroups, again parabolic: p1 meets
     the stabilizer of p2's base point (arXiv math/0512408)."""
-    if p1.system is not p2.system:
+    require_instance(p1, Parabolic, "subgroup")
+    if p1.system is not require_instance(p2, Parabolic, "subgroup").system:
         raise MixedSystems("subgroups belong to different systems")
     return _intersect_stabilizer(p1, p2.base_point.coords)
 

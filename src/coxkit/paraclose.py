@@ -26,24 +26,23 @@ finite group reports the ShortLex-least (w, I) naming its closure with
 layers from the closure's base point, which needs no candidate table.
 
 The candidate scan remains the fallback for systems whose cone is not
-classified: parabolics (w, I), with w a coset-minimal representative of
-length at most the radius, in order of increasing rank and length.
-Containment of the query set in a candidate is a cheap exact test: every
-query element must fix the candidate's base point.  The running intersection
-of the containing candidates stabilizes at the closure; for a finite group
-scanned exhaustively the result is exact, and otherwise radius-limited.
+classified: a first-hit search of the parabolics (w, I), w coset-minimal of
+length <= the radius, by increasing rank.  Every parabolic containing X
+contains Pc(X), so the first candidate whose base point all of X fixes is
+the closure whenever the closure is listed: exact for a finite group
+scanned exhaustively, and otherwise radius-limited.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, combinations
+from itertools import combinations
 from math import prod
 
-from .coxgroup import CoxeterSystem
+from .coxgroup import CoxeterSystem, GroupElement
 from .errors import (CandidateTableTooLarge, InvalidQuery, InvariantViolation, MixedSystems,
-                     require_count, require_iterable)
-from .parabolic import Parabolic, _intersect_stabilizer, intersect, make
+                     require_count, require_instance, require_iterable)
+from .parabolic import Parabolic, _intersect_stabilizer, make
 from .titscone import DualPoint, cone_components, stabilizer
 
 # About 5x the largest table the tests, the verify suites and the benchmark
@@ -66,13 +65,12 @@ class ClosureQuery:
     __slots__ = ("elements", "radius")
 
     def __init__(self, elements, radius: int):
-        elements = tuple(require_iterable(elements, "closure query elements"))
+        elements = tuple(require_instance(g, GroupElement, "closure query element")
+                         for g in require_iterable(elements, "closure query elements"))
         if not elements:
             raise InvalidQuery("closure query needs at least one element")
-        system = elements[0].system
-        for g in elements:
-            if g.system is not system:
-                raise MixedSystems("query elements belong to different systems")
+        if any(g.system is not elements[0].system for g in elements):
+            raise MixedSystems("query elements belong to different systems")
         self.elements = elements
         self.radius = require_count(radius, "radius")
 
@@ -86,22 +84,21 @@ class ClosureResult:
 
     status is EXACT when the closure is certified (a parabolic containing X
     that fixes all of Fix(X), or the whole group when Fix(X) meets the cone
-    only in 0) or when the fallback scan was exhaustive (the group is finite
-    and the enumeration closed within the radius).  It is RADIUS_LIMITED when
-    the system's cone is not classified and the scan was not exhaustive: the
-    result is then the intersection of the containing parabolics visible
-    within the radius.
-    refinements lists the candidates that strictly shrank the running
-    intersection, starting from the whole group; a certified closure of
-    rank below the group's is its single refinement.
+    only in 0) or the fallback scan was exhaustive.  It is RADIUS_LIMITED
+    when the scan was not: the result is then its first hit, a containing
+    parabolic of least rank within the radius.
     """
 
-    __slots__ = ("closure", "status", "refinements")
+    __slots__ = ("closure", "status")
 
-    def __init__(self, closure: Parabolic, status: ClosureStatus, refinements):
+    def __init__(self, closure: Parabolic, status: ClosureStatus):
         self.closure = closure
         self.status = status
-        self.refinements = tuple(refinements)
+
+    @property
+    def refinements(self) -> tuple:
+        """(closure,), one step down from the whole group; () at rank 0 and at full rank."""
+        return (self.closure,) if 0 < self.closure.rank < self.closure.system.rank else ()
 
     def __repr__(self):
         return (f"ClosureResult({self.closure!r}, {self.status.value}, "
@@ -109,14 +106,13 @@ class ClosureResult:
 
 
 def _candidates(system: CoxeterSystem, radius: int):
-    """Candidate parabolics (gens, w, base point coords) with w coset-minimal
-    of length <= radius, in one block per rank, each block ordered by
-    (length, word, subset).  Returns (blocks, closed); cached per system and
-    radius, a radius past the length L of a finite group's longest element
-    clamped to L.  The rank-0 block is left empty: its candidates contain
-    only the identity, which no caller scans for.  The BFS is counted layer
-    by layer, and CandidateTableTooLarge is raised as soon as the candidates
-    listed pass MAX_CANDIDATES, before the next layer is built.
+    """Candidate parabolics (gens, w, base point coords) with gens nonempty
+    and w coset-minimal of length <= radius, as one tuple in (rank, length,
+    word, subset) order: the order of the first-hit search.  Returns
+    (candidates, closed); cached per system and radius, a radius past the
+    length L of a finite group's longest element clamped to L.  The BFS is
+    counted layer by layer, and CandidateTableTooLarge is raised as soon as
+    the candidates listed pass MAX_CANDIDATES, before the next layer is built.
 
     The roots w^{-1}(alpha_t) are carried down the BFS, (w s)^{-1} = s w^{-1}
     taking one generator step per root of the parent's.  The base point
@@ -124,9 +120,6 @@ def _candidates(system: CoxeterSystem, radius: int):
     coordinates of that root outside I.
     """
     cache = system.cache["closure_candidates"]
-    hit = cache.get(radius)
-    if hit is not None:
-        return hit
     n = system.rank
     count = 0
     for length in range(radius + 1):
@@ -138,32 +131,22 @@ def _candidates(system: CoxeterSystem, radius: int):
                 f"the closure candidate scan lists more than {MAX_CANDIDATES} "
                 f"parabolics by length {length} (radius {radius})")
         if closed:
-            radius = length
-            hit = cache.get(radius)
-            if hit is not None:
-                return hit
             break
+    if length in cache:  # length is the radius, clamped if the BFS closed
+        return cache[length]
     elements = [g for layer in layers for g in layer]
     roots = {(): system._identity_matrix}
     for w in elements[1:]:
-        s = w.word[-1]
-        roots[w.word] = tuple(system._apply_gen_vec(s, r) for r in roots[w.word[:-1]])
+        roots[w.word] = tuple(system._apply_gen_vec(w.word[-1], r) for r in roots[w.word[:-1]])
     zero = system.field.zero
-    blocks = [()]
+    candidates = []
     for size in range(1, n + 1):
-        block = []
-        for subset in combinations(range(n), size):
-            I = system.label_set(subset)
-            outside = [s for s in range(n) if s not in I]
-            for w in elements:
-                if w.right_descents & I:
-                    continue
-                point = tuple(sum((r[s] for s in outside), zero) for r in roots[w.word])
-                block.append((len(w.word), w.word, subset, I, w, point))
-        block.sort(key=lambda item: item[:3])
-        blocks.append(tuple(item[3:] for item in block))
-    result = (tuple(blocks), closed)
-    cache[radius] = result
+        # the layers are sorted by word, and combinations lists subsets in order
+        subsets = [system.label_set(c) for c in combinations(range(n), size)]
+        candidates += [(I, w, tuple(sum((r[s] for s in range(n) if s not in I), zero)
+                                    for r in roots[w.word]))
+                       for w in elements for I in subsets if not w.right_descents & I]
+    result = cache[length] = (tuple(candidates), closed)
     return result
 
 
@@ -264,21 +247,19 @@ def pc(query: ClosureQuery) -> ClosureResult:
     system = query.system
     elements = query.elements
     if all(g.is_identity for g in elements):
-        return ClosureResult(make(system.identity, frozenset()), ClosureStatus.EXACT, ())
+        return ClosureResult(make(system.identity, frozenset()), ClosureStatus.EXACT)
     basis = _fixed_space(elements)
     if not basis:
         return ClosureResult(make(system.identity, frozenset(range(system.rank))),
-                             ClosureStatus.EXACT, ())
+                             ClosureStatus.EXACT)
     certified = _certify(system, basis)
     if certified is None:
         return scan_closure(query)
-    if certified.rank == system.rank:
-        return ClosureResult(certified, ClosureStatus.EXACT, ())
-    if all(c.kind == "finite" for c in cone_components(system)):
+    if certified.rank < system.rank and all(c.kind == "finite" for c in cone_components(system)):
         certified = _least_presentation(certified, query.radius)
         if not all(certified.contains_element(g) for g in elements):
             raise InvariantViolation("the certified closure misses a query element")
-    return ClosureResult(certified, ClosureStatus.EXACT, (certified,))
+    return ClosureResult(certified, ClosureStatus.EXACT)
 
 
 def _least_presentation(closure: Parabolic, radius: int) -> Parabolic:
@@ -304,27 +285,21 @@ def _least_presentation(closure: Parabolic, radius: int) -> Parabolic:
 
 def scan_closure(query: ClosureQuery) -> ClosureResult:
     """Parabolic closure by the candidate scan alone, within the query's
-    radius: exact only when the scan was exhaustive."""
+    radius: the first candidate whose base point every query element fixes,
+    exact only when the scan was exhaustive."""
     system = query.system
     elements = query.elements
-    blocks, closed = _candidates(system, query.radius)
+    candidates, closed = _candidates(system, query.radius)
     status = ClosureStatus.EXACT if closed else ClosureStatus.RADIUS_LIMITED
     if all(g.is_identity for g in elements):
-        return ClosureResult(make(system.identity, frozenset()), status, ())
-    current = make(system.identity, frozenset(range(system.rank)))
-    refinements = []
-    minimal_rank = None
-    for gens, w, point_coords in chain.from_iterable(blocks):
-        if minimal_rank is not None and current.rank == minimal_rank:
+        return ClosureResult(make(system.identity, frozenset()), status)
+    for gens, w, point_coords in candidates:
+        if all(g.fixes_dual_coords(point_coords) for g in elements):
+            closure = make(w, gens)
             break
-        if not all(g.fixes_dual_coords(point_coords) for g in elements):
-            continue
-        if minimal_rank is None:
-            minimal_rank = len(gens)
-        candidate = make(w, gens)
-        if not candidate.contains(current):
-            current = intersect(current, candidate)
-            refinements.append(candidate)
-    if not all(current.contains_element(g) for g in elements):
+    else:
+        # (e, S) is always listed, and its base point 0 is fixed by all of W
+        raise InvariantViolation("no candidate contains the query elements")
+    if not all(closure.contains_element(g) for g in elements):
         raise InvariantViolation("closure does not contain the query elements")
-    return ClosureResult(current, status, refinements)
+    return ClosureResult(closure, status)

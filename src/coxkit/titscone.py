@@ -16,7 +16,8 @@ product of its components' cones.
 from __future__ import annotations
 
 from .coxgroup import CoxeterSystem, GroupElement
-from .errors import InvariantViolation, MixedSystems, StepCapExceeded, require_count
+from .errors import (InvariantViolation, MixedSystems, StepCapExceeded, require_count,
+                     require_instance)
 
 DEFAULT_STEP_CAP = 10000
 
@@ -34,7 +35,7 @@ class DualPoint:
         self.coords = system._field_coords(coords)
 
     def transformed_by(self, w: GroupElement) -> "DualPoint":
-        if w.system is not self.system:
+        if require_instance(w, GroupElement, "element").system is not self.system:
             raise MixedSystems("element and point belong to different systems")
         return DualPoint(self.system, w.act_dual_coords(self.coords))
 
@@ -104,7 +105,7 @@ def locate(f: DualPoint, step_cap: int = DEFAULT_STEP_CAP) -> CellLocation:
     Points outside the cone never reach the fundamental domain and hit the
     step cap instead (StepCapExceeded).
     """
-    system = f.system
+    system = require_instance(f, DualPoint, "point").system
     letters, coords = _walk(f, range(system.rank), step_cap)
     gens = system.label_set(s for s, c in enumerate(coords) if c.is_zero())
     return CellLocation(system.normalize(letters), gens, DualPoint(system, coords))

@@ -6,14 +6,34 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coxkit import corpus
-from coxkit.errors import MixedSystems
+from coxkit.errors import InvalidQuery, MixedSystems
 from coxkit.oracle import enumerate_group
+from coxkit.paraclose import ClosureQuery
 from coxkit.parabolic import (conjugacy_normalize, intersect, make)
-from coxkit.titscone import fundamental_point
+from coxkit.titscone import fundamental_point, locate
 
 
 def full(system):
     return frozenset(range(system.rank))
+
+
+@pytest.mark.parametrize("call", [
+    lambda W: ClosureQuery([5], 3),
+    lambda W: ClosureQuery([W.identity, "s"], 3),
+    lambda W: make(5, [0]),
+    lambda W: make((0,), [0]),
+    lambda W: intersect(5, 5),
+    lambda W: intersect(make(W.identity, [0]), W.identity),
+    lambda W: locate(5),
+    lambda W: locate((1, 1)),
+    lambda W: fundamental_point(W, [0]).transformed_by(5),
+], ids=["query-int", "query-str", "make-int", "make-tuple", "intersect-ints",
+        "intersect-element", "locate-int", "locate-tuple", "transformed-by-int"])
+def test_argument_of_the_wrong_kind_is_invalid_query(a2, call):
+    # an element, parabolic or point of another type: a typed error, not a
+    # bare AttributeError
+    with pytest.raises(InvalidQuery):
+        call(a2)
 
 
 # -- coset-minimal representatives ------------------------------------------------

@@ -65,7 +65,7 @@ def test_rotation_in_infinite_dihedral(dinf):
     res = pc(ClosureQuery([dinf.element("s t")], 6))
     assert res.closure.equals(make(dinf.identity, frozenset({0, 1})))
     assert res.status is ClosureStatus.EXACT
-    assert len(res.refinements) <= 2
+    assert res.refinements == ()
 
 
 def test_reflection_in_infinite_dihedral(dinf):
@@ -157,6 +157,22 @@ def test_finite_presentations_match_the_scan(name):
 INF = float("inf")
 
 
+@pytest.mark.parametrize("words, closure, status, steps", [
+    (["a"], "(e, {a})", ClosureStatus.RADIUS_LIMITED, 1),
+    (["c a c"], "(c, {a})", ClosureStatus.RADIUS_LIMITED, 1),
+    (["b a b"], "(a, {b})", ClosureStatus.RADIUS_LIMITED, 1),
+    (["b c b a b c b"], "(b c a, {b})", ClosureStatus.RADIUS_LIMITED, 1),
+    (["a", "c"], "(e, {a, c})", ClosureStatus.RADIUS_LIMITED, 1),
+    (["a b c"], "(e, {a, b, c})", ClosureStatus.EXACT, 0),
+])
+def test_scan_route_golden(words, closure, status, steps):
+    # labels 3, 3 and inf: the cone is not classified, so pc scans at
+    # radius 6; only Fix = {0} (the last query) is certified without a scan
+    W = build_system([[1, 3, INF], [3, 1, 3], [INF, 3, 1]], "abc")
+    res = pc(ClosureQuery([W.element(word) for word in words], 6))
+    assert (res.closure.describe(), res.status, len(res.refinements)) == (closure, status, steps)
+
+
 @pytest.mark.parametrize("matrix, words, expected", [
     # A~1 x A~1 on a, b | c, d: a rotation's fixed space meets the cone of
     # its factor only in 0, so its closure is that whole factor
@@ -192,9 +208,17 @@ def test_closures_in_reducible_systems(matrix, words, expected):
 @pytest.mark.parametrize("name, radius", [("b3", 16), ("h3", 16), ("affine_a2", 8)])
 def test_candidate_base_points_match_the_dual_action(name, radius):
     W = corpus.load(name)
-    blocks, _ = _candidates(W, radius)
-    for gens, w, point in (c for block in blocks for c in block):
+    candidates, _ = _candidates(W, radius)
+    for gens, w, point in candidates:
         assert point == w.act_dual_coords(fundamental_point(W, gens).coords)
+
+
+@pytest.mark.parametrize("name, radius", [("h3", 16), ("hyperbolic_334", 6)])
+def test_candidates_are_listed_in_search_order(name, radius):
+    # (rank, length, word, subset): the first containing candidate has least rank
+    candidates, _ = _candidates(corpus.load(name), radius)
+    keys = [(len(gens), len(w.word), w.word, sorted(gens)) for gens, w, _ in candidates]
+    assert keys == sorted(keys) and len(set(map(repr, keys))) == len(keys)
 
 
 def test_closed_enumeration_shares_one_candidate_table():
