@@ -190,10 +190,8 @@ def cmd_pc(args):
     res = pc(ClosureQuery(elements, args.radius))
     result = _parabolic_fields(res.closure)
     result["status"] = res.status.value
-    result["refinements"] = len(res.refinements)
     lines = _parabolic_lines(res.closure)
     lines.append(f"status: {_status_text(res.status)}")
-    lines.append(f"refinements: {len(res.refinements)}")
     return result, lines, 0
 
 
@@ -303,9 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pc", cmd_pc, "parabolic closure of a set of elements")
     p.add_argument("words", nargs="+")
     p.add_argument("--radius", type=_count, default=12,
-                   help="a finite group reports the ShortLex-least (w, I) naming the "
-                        "closure with |w| <= radius, or else the walked one; an unclassified "
-                        "group scans the candidates (w, I) within it (default 12)")
+                   help="bounds only the candidate scan of a group whose cone is not "
+                        "classified, which tries the w with |w| <= radius (default 12)")
 
     p = add("verify", cmd_verify,
             "run the property suites over the built-in corpus", group=False)

@@ -156,9 +156,9 @@ class CoxeterSystem:
         self._bfs_points = [self._rho]
         self._bfs_closed = False
         # tables derived from the system by other modules, built on first use:
-        # closure candidates by radius (paraclose), the element table (oracle),
-        # the classified components of the Tits cone (titscone)
-        self.cache = {"closure_candidates": {}, "oracle_table": None, "tits_cone": None}
+        # the element table (oracle), the classified components of the Tits
+        # cone (titscone)
+        self.cache = {"oracle_table": None, "tits_cone": None}
 
     # -- construction checks -------------------------------------------------
 

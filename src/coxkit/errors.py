@@ -78,8 +78,9 @@ class GroupNotFinite(CoxeterError):
 
 
 class CandidateTableTooLarge(CoxeterError):
-    """The closure candidate scan would list more parabolics than the cap
-    (paraclose.MAX_CANDIDATES) within the radius asked for."""
+    """The closure candidate scan would cover more parabolics (w, I), w
+    coset-minimal and I nonempty, than the cap (paraclose.MAX_CANDIDATES)
+    within the radius asked for, though it tries each w once."""
 
 
 class NotAParabolic(CoxeterError):

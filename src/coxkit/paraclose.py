@@ -21,22 +21,21 @@ certifies the closure with walks alone:
   in any Coxeter group.
 
 Infinite groups report the presentation (rep, gens) the walks end at.  A
-finite group reports the ShortLex-least (w, I) naming its closure with
-|w| <= the radius, or else the walked presentation: a search of the BFS
-layers from the closure's base point, which needs no candidate table.
+finite group reports the ShortLex-least (w, I) naming its closure: a search
+of the BFS layers from the closure's base point, up to the length of the
+walked presentation, which needs no candidate table.
 
 The candidate scan remains the fallback for systems whose cone is not
-classified: a first-hit search of the parabolics (w, I), w coset-minimal of
-length <= the radius, by increasing rank.  Every parabolic containing X
-contains Pc(X), so the first candidate whose base point all of X fixes is
-the closure whenever the closure is listed: exact for a finite group
-scanned exhaustively, and otherwise radius-limited.
+classified: each w, |w| <= the radius, has one least w W_{I_w} w^{-1} holding
+X, read off n weight points, and the first w of least |I_w| is the hit.  Every
+parabolic containing X contains Pc(X), so that hit is the closure whenever
+the closure lies within the radius: exact for a finite group scanned
+exhaustively, and otherwise radius-limited.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations
 from math import prod
 
 from .coxgroup import CoxeterSystem, GroupElement
@@ -58,9 +57,9 @@ class ClosureStatus(Enum):
 
 
 class ClosureQuery:
-    """A set of group elements and a radius: a finite group reports the
-    ShortLex-least (w, I) naming the closure with |w| <= radius, or else the
-    walked presentation; an unclassified system scans (w, I) within it."""
+    """A set of group elements and a radius.  The radius bounds only the
+    candidate scan of a system whose cone is not classified: the scan tries
+    the elements w with |w| <= radius."""
 
     __slots__ = ("elements", "radius")
 
@@ -80,7 +79,7 @@ class ClosureQuery:
 
 
 class ClosureResult:
-    """Closure with its audit trail.
+    """A closure and how far to trust it.
 
     status is EXACT when the closure is certified (a parabolic containing X
     that fixes all of Fix(X), or the whole group when Fix(X) meets the cone
@@ -95,31 +94,22 @@ class ClosureResult:
         self.closure = closure
         self.status = status
 
-    @property
-    def refinements(self) -> tuple:
-        """(closure,), one step down from the whole group; () at rank 0 and at full rank."""
-        return (self.closure,) if 0 < self.closure.rank < self.closure.system.rank else ()
-
     def __repr__(self):
-        return (f"ClosureResult({self.closure!r}, {self.status.value}, "
-                f"{len(self.refinements)} refinements)")
+        return f"ClosureResult({self.closure!r}, {self.status.value})"
 
 
 def _candidates(system: CoxeterSystem, radius: int):
-    """Candidate parabolics (gens, w, base point coords) with gens nonempty
-    and w coset-minimal of length <= radius, as one tuple in (rank, length,
-    word, subset) order: the order of the first-hit search.  Returns
-    (candidates, closed); cached per system and radius, a radius past the
-    length L of a finite group's longest element clamped to L.  The BFS is
-    counted layer by layer, and CandidateTableTooLarge is raised as soon as
-    the candidates listed pass MAX_CANDIDATES, before the next layer is built.
-
-    The roots w^{-1}(alpha_t) are carried down the BFS, (w s)^{-1} = s w^{-1}
-    taking one generator step per root of the parent's.  The base point
-    w(f_I) pairs with alpha_t as <f_I, w^{-1}(alpha_t)>, the sum of the
-    coordinates of that root outside I.
+    """The elements w of length <= radius with their weight points, as
+    ([(w, weights)], closed) in (length, word) order, a radius past the
+    length L of a finite group's longest element clamped to L.  weights[s]
+    holds the pairings of w(omega_s), omega_s = fundamental_point(W, S - {s}):
+    <omega_s, w^{-1}(alpha_t)>, coordinate s of the root w^{-1}(alpha_t).
+    Those roots are carried down the BFS, (w s)^{-1} = s w^{-1} taking one
+    generator step per root of the parent's.  The BFS is counted layer by
+    layer in the (w, I) parabolics the scan covers, w coset-minimal and I
+    nonempty, and CandidateTableTooLarge is raised as soon as they pass
+    MAX_CANDIDATES, before the next layer is built.
     """
-    cache = system.cache["closure_candidates"]
     n = system.rank
     count = 0
     for length in range(radius + 1):
@@ -132,22 +122,11 @@ def _candidates(system: CoxeterSystem, radius: int):
                 f"parabolics by length {length} (radius {radius})")
         if closed:
             break
-    if length in cache:  # length is the radius, clamped if the BFS closed
-        return cache[length]
     elements = [g for layer in layers for g in layer]
     roots = {(): system._identity_matrix}
     for w in elements[1:]:
         roots[w.word] = tuple(system._apply_gen_vec(w.word[-1], r) for r in roots[w.word[:-1]])
-    zero = system.field.zero
-    candidates = []
-    for size in range(1, n + 1):
-        # the layers are sorted by word, and combinations lists subsets in order
-        subsets = [system.label_set(c) for c in combinations(range(n), size)]
-        candidates += [(I, w, tuple(sum((r[s] for s in range(n) if s not in I), zero)
-                                    for r in roots[w.word]))
-                       for w in elements for I in subsets if not w.right_descents & I]
-    result = cache[length] = (tuple(candidates), closed)
-    return result
+    return [(w, tuple(zip(*roots[w.word]))) for w in elements], closed
 
 
 def _fixed_space(elements) -> list[tuple]:
@@ -256,22 +235,22 @@ def pc(query: ClosureQuery) -> ClosureResult:
     if certified is None:
         return scan_closure(query)
     if certified.rank < system.rank and all(c.kind == "finite" for c in cone_components(system)):
-        certified = _least_presentation(certified, query.radius)
+        certified = _least_presentation(certified)
         if not all(certified.contains_element(g) for g in elements):
             raise InvariantViolation("the certified closure misses a query element")
     return ClosureResult(certified, ClosureStatus.EXACT)
 
 
-def _least_presentation(closure: Parabolic, radius: int) -> Parabolic:
-    """The ShortLex-least (w, I), |w| <= radius, naming a finite group's
-    closure P; P itself when none does within MAX_CANDIDATES elements.  (w, I)
+def _least_presentation(closure: Parabolic) -> Parabolic:
+    """The ShortLex-least (w, I) naming a finite group's closure P, |w| <= |rep|
+    as P's (rep, gens) names it; P itself past MAX_CANDIDATES elements.  (w, I)
     names P when I, the generators pairing to 0 with w^{-1}(b), b P's base
     point, has P's rank: w W_I w^{-1} then lies in P, and a parabolic of P's
     rank in P is P.  The first such w is shortest in w W_I, as a shorter
     element of w W_I names P with the same I."""
     system = closure.system
     points = {(): closure.base_point.coords}
-    for length in range(min(radius, closure.rep.length) + 1):
+    for length in range(closure.rep.length + 1):
         if len(points) > MAX_CANDIDATES:
             break
         for w in system.elements_up_to(length)[0][length]:
@@ -285,21 +264,30 @@ def _least_presentation(closure: Parabolic, radius: int) -> Parabolic:
 
 def scan_closure(query: ClosureQuery) -> ClosureResult:
     """Parabolic closure by the candidate scan alone, within the query's
-    radius: the first candidate whose base point every query element fixes,
-    exact only when the scan was exhaustive."""
+    radius, exact only when the scan was exhaustive.
+
+    X lies in w W_I w^{-1} iff X fixes w(omega_s) for every s not in I, as W_I
+    is the intersection of the W_{S - {s}}: so iff I holds I_w, the s whose
+    w(omega_s) some x in X moves.  The first w of least |I_w| has no right
+    descent s in I_w, else w s would be shorter with the same subset, so
+    (w, I_w) is the first containing (w, I), w coset-minimal, in (rank,
+    length, word, subset) order.  Each w W_I w^{-1} containing X fixes a space
+    of dimension n - |I| inside Fix(X), so no w goes below the floor
+    n - dim Fix(X), and the scan stops at the first w on it.
+    """
     system = query.system
     elements = query.elements
     candidates, closed = _candidates(system, query.radius)
-    status = ClosureStatus.EXACT if closed else ClosureStatus.RADIUS_LIMITED
-    if all(g.is_identity for g in elements):
-        return ClosureResult(make(system.identity, frozenset()), status)
-    for gens, w, point_coords in candidates:
-        if all(g.fixes_dual_coords(point_coords) for g in elements):
-            closure = make(w, gens)
-            break
-    else:
-        # (e, S) is always listed, and its base point 0 is fixed by all of W
-        raise InvariantViolation("no candidate contains the query elements")
+    floor = system.rank - len(_fixed_space(elements))
+    best = None
+    for w, weights in candidates:
+        I = [s for s, point in enumerate(weights)
+             if not all(g.fixes_dual_coords(point) for g in elements)]
+        if best is None or len(I) < len(best[1]):
+            best = (w, I)
+            if len(I) == floor:
+                break
+    closure = make(*best)
     if not all(closure.contains_element(g) for g in elements):
         raise InvariantViolation("closure does not contain the query elements")
-    return ClosureResult(closure, status)
+    return ClosureResult(closure, ClosureStatus.EXACT if closed else ClosureStatus.RADIUS_LIMITED)

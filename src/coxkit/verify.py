@@ -385,13 +385,11 @@ def suite_parabolic_closure(check):
 @_suite("infinite-closure")
 def suite_infinite_closure(check):
     """Closure in the infinite dihedral group: a rotation closes up to the
-    whole group with an empty audit trail and a reflection to itself, both
-    certified exact."""
+    whole group and a reflection to itself, both certified exact."""
     system = corpus.load("dihedral_inf")
     rotation = pc(ClosureQuery([system.element("s t")], 6))
     full = make(system.identity, frozenset(range(system.rank)))
     check(rotation.closure.equals(full)
-          and rotation.refinements == ()
           and rotation.status is ClosureStatus.EXACT,
           f"rotation closure wrong: {rotation!r}")
     reflection = pc(ClosureQuery([system.element("s")], 6))

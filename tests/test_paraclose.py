@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -13,9 +13,16 @@ from coxkit.oracle import brute_pc, enumerate_group
 from coxkit.paraclose import (ClosureQuery, ClosureStatus, _candidates,
                               _fixed_space, pc, scan_closure)
 from coxkit.parabolic import make
-from coxkit.titscone import fundamental_point
+from coxkit.titscone import cone_components, fundamental_point
 
 RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "recorded.json"
+
+
+def _refuse_scan(monkeypatch):
+    """Make any call of the candidate scan fail the test."""
+    def refuse(system, radius):
+        raise AssertionError("pc fell back to the candidate scan")
+    monkeypatch.setattr(paraclose, "_candidates", refuse)
 
 
 def test_query_validation(a2, b2):
@@ -37,7 +44,6 @@ def test_identity_closes_to_trivial_subgroup(a2):
     assert res.closure.rank == 0
     assert res.closure.rep.is_identity
     assert res.status is ClosureStatus.EXACT
-    assert res.refinements == ()
 
 
 def test_single_generator(a3):
@@ -65,7 +71,6 @@ def test_rotation_in_infinite_dihedral(dinf):
     res = pc(ClosureQuery([dinf.element("s t")], 6))
     assert res.closure.equals(make(dinf.identity, frozenset({0, 1})))
     assert res.status is ClosureStatus.EXACT
-    assert res.refinements == ()
 
 
 def test_reflection_in_infinite_dihedral(dinf):
@@ -80,14 +85,12 @@ def test_scan_alone_stays_radius_limited(dinf):
     assert res.status is ClosureStatus.RADIUS_LIMITED
 
 
-def test_trivial_fixed_space_certifies_the_whole_group_without_a_scan():
-    # a fresh system, so that no other test has filled its candidate cache
-    W = build_system(corpus.load("hyperbolic_334").matrix, "abc")
+def test_trivial_fixed_space_certifies_the_whole_group_without_a_scan(monkeypatch):
+    _refuse_scan(monkeypatch)
+    W = corpus.load("hyperbolic_334")
     res = pc(ClosureQuery([W.element("a b c")], 12))
     assert res.closure.describe() == "(e, {a, b, c})"
     assert res.status is ClosureStatus.EXACT
-    assert res.refinements == ()
-    assert W.cache["closure_candidates"] == {}
 
 
 @pytest.mark.parametrize("name", corpus.INFINITE_NAMES)
@@ -120,25 +123,25 @@ def test_recorded_pool_is_certified(name):
 
 
 @pytest.mark.parametrize("name", corpus.INFINITE_NAMES)
-def test_infinite_groups_build_no_candidate_table(name):
+def test_infinite_groups_build_no_candidate_table(name, monkeypatch):
     # a fresh system, so that no other test has enumerated it
+    _refuse_scan(monkeypatch)
     W = build_system(corpus.load(name).matrix)
     for word in ((0,), (0, 1), (1, 0, 1), (2, 0, 1, 0, 1, 1, 2), (1, 2, 1, 0, 1)):
         res = pc(ClosureQuery([W.normalize([s % W.rank for s in word])], 12))
         assert res.status is ClosureStatus.EXACT
-    assert W.cache["closure_candidates"] == {}
     assert len(W._bfs_layers) == 1
 
 
 @pytest.mark.parametrize("name", ["b3", "h3"])
-def test_finite_groups_build_no_candidate_table(name):
-    # a fresh system: pc's search for the least presentation walks the BFS
-    # layers and lists no candidates
-    W = build_system(corpus.load(name).matrix)
+def test_finite_groups_build_no_candidate_table(name, monkeypatch):
+    # pc's search for the least presentation walks the BFS layers and lists
+    # no candidates
+    _refuse_scan(monkeypatch)
+    W = corpus.load(name)
     for word in ((0,), (0, 1), (1, 0, 1), (2, 0, 1, 0, 1, 1, 2), (1, 2, 1, 0, 1)):
         for radius in (3, 64):
             assert pc(ClosureQuery([W.normalize(word)], radius)).status is ClosureStatus.EXACT
-    assert W.cache["closure_candidates"] == {}
 
 
 @pytest.mark.parametrize("name", corpus.FINITE_NAMES)
@@ -154,23 +157,39 @@ def test_finite_presentations_match_the_scan(name):
         assert pc(query).closure.describe() == scan_closure(query).closure.describe(), words
 
 
+@pytest.mark.parametrize("name, word, radii, expected", [
+    ("h3", "a b a b a", (0, 1, 16), "(a b, {a})"),
+    ("a2", "s t s", (0, 8), "(s, {t})"),
+])
+def test_finite_presentation_does_not_depend_on_the_radius(name, word, radii, expected):
+    # the search runs up to the walked presentation's length, whatever the radius
+    W = corpus.load(name)
+    for radius in radii:
+        assert pc(ClosureQuery([W.element(word)], radius)).closure.describe() == expected
+
+
 INF = float("inf")
 
 
-@pytest.mark.parametrize("words, closure, status, steps", [
+@pytest.mark.parametrize("words, closure, status, floor", [
     (["a"], "(e, {a})", ClosureStatus.RADIUS_LIMITED, 1),
     (["c a c"], "(c, {a})", ClosureStatus.RADIUS_LIMITED, 1),
     (["b a b"], "(a, {b})", ClosureStatus.RADIUS_LIMITED, 1),
     (["b c b a b c b"], "(b c a, {b})", ClosureStatus.RADIUS_LIMITED, 1),
-    (["a", "c"], "(e, {a, c})", ClosureStatus.RADIUS_LIMITED, 1),
-    (["a b c"], "(e, {a, b, c})", ClosureStatus.EXACT, 0),
+    (["a", "c"], "(e, {a, c})", ClosureStatus.RADIUS_LIMITED, 2),
+    (["a b c"], "(e, {a, b, c})", ClosureStatus.EXACT, 3),
+    (["b c a c"], "(e, {a, b, c})", ClosureStatus.RADIUS_LIMITED, 2),
 ])
-def test_scan_route_golden(words, closure, status, steps):
+def test_scan_route_golden(words, closure, status, floor):
     # labels 3, 3 and inf: the cone is not classified, so pc scans at
-    # radius 6; only Fix = {0} (the last query) is certified without a scan
+    # radius 6; only Fix = {0} (a b c) is certified without a scan.  floor is
+    # n - dim Fix(X), the least rank a containing parabolic can have: every
+    # scan but b c a c's stops there
     W = build_system([[1, 3, INF], [3, 1, 3], [INF, 3, 1]], "abc")
-    res = pc(ClosureQuery([W.element(word) for word in words], 6))
-    assert (res.closure.describe(), res.status, len(res.refinements)) == (closure, status, steps)
+    elements = [W.element(word) for word in words]
+    res = pc(ClosureQuery(elements, 6))
+    assert (res.closure.describe(), res.status) == (closure, status)
+    assert W.rank - len(_fixed_space(elements)) == floor
 
 
 @pytest.mark.parametrize("matrix, words, expected", [
@@ -207,28 +226,68 @@ def test_closures_in_reducible_systems(matrix, words, expected):
 
 @pytest.mark.parametrize("name, radius", [("b3", 16), ("h3", 16), ("affine_a2", 8)])
 def test_candidate_base_points_match_the_dual_action(name, radius):
+    # weights[s] is w(omega_s), the base point of w W_{S - {s}} w^{-1}
     W = corpus.load(name)
     candidates, _ = _candidates(W, radius)
-    for gens, w, point in candidates:
-        assert point == w.act_dual_coords(fundamental_point(W, gens).coords)
+    for w, weights in candidates:
+        assert len(weights) == W.rank
+        for s, point in enumerate(weights):
+            others = [t for t in range(W.rank) if t != s]
+            assert point == w.act_dual_coords(fundamental_point(W, others).coords)
 
 
 @pytest.mark.parametrize("name, radius", [("h3", 16), ("hyperbolic_334", 6)])
 def test_candidates_are_listed_in_search_order(name, radius):
-    # (rank, length, word, subset): the first containing candidate has least rank
+    # (length, word), each element once and none longer than the radius
     candidates, _ = _candidates(corpus.load(name), radius)
-    keys = [(len(gens), len(w.word), w.word, sorted(gens)) for gens, w, _ in candidates]
-    assert keys == sorted(keys) and len(set(map(repr, keys))) == len(keys)
+    keys = [(w.length, w.word) for w, _ in candidates]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert max(length for length, _ in keys) <= radius
 
 
 def test_closed_enumeration_shares_one_candidate_table():
     # a fresh system: once radius 16 has closed the BFS, every radius from
-    # the longest element's length (15) on lists the whole group, and gets
-    # the one table
+    # the longest element's length (15) on lists the whole group
     W = build_system(corpus.load("h3").matrix, "abc")
-    assert _candidates(W, 16) is _candidates(W, 40) is _candidates(W, 15)
+    assert _candidates(W, 16) == _candidates(W, 40) == _candidates(W, 15)
     assert _candidates(W, 16)[1] and not _candidates(W, 14)[1]
-    assert len({id(table) for table in W.cache["closure_candidates"].values()}) == 2
+
+
+def _first_hit(elements, radius):
+    """The first (w, I), w coset-minimal of length <= radius, in (rank,
+    length, word, subset) order whose parabolic contains every element: each
+    fixes its base point w(f_I), one subset at a time."""
+    W = elements[0].system
+    layers, _ = W.elements_up_to(radius)
+    for size in range(W.rank + 1):
+        for w in [w for layer in layers for w in layer]:
+            for I in combinations(range(W.rank), size):
+                if w.right_descents.isdisjoint(I):
+                    base = fundamental_point(W, I).transformed_by(w).coords
+                    if all(g.fixes_dual_coords(base) for g in elements):
+                        return make(w, I)
+
+
+def test_scan_matches_the_brute_force_first_hit():
+    # seeded rank-3 and rank-4 systems whose cone is not classified, at
+    # radius 3: the scan's one subset per w gives the first containing
+    # (w, I) of the full listing
+    rng = random.Random(26)
+    systems = []
+    while len(systems) < 6:
+        n = 3 + len(systems) % 2
+        m = [[1] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            m[i][j] = m[j][i] = rng.choice([2, 3, 3, 4, 6, INF])
+        W = build_system(m)
+        if any(c.kind is None for c in cone_components(W)):
+            systems.append(W)
+    for W in systems:
+        for _ in range(10):
+            elements = [W.normalize([rng.randrange(W.rank) for _ in range(rng.randint(0, 6))])
+                        for _ in range(rng.randint(1, 2))]
+            res = scan_closure(ClosureQuery(elements, 3))
+            assert res.closure.describe() == _first_hit(elements, 3).describe(), elements
 
 
 def test_certified_closure_in_affine_group():
@@ -236,7 +295,6 @@ def test_certified_closure_in_affine_group():
     res = pc(ClosureQuery([W.element("a b")], 10))
     assert res.closure.describe() == "(e, {a, b})"
     assert res.status is ClosureStatus.EXACT
-    assert len(res.refinements) == 1
 
 
 def test_fixed_space_dimension_is_corank_of_closure(b3):
@@ -284,14 +342,6 @@ def test_finite_group_past_the_candidate_cap_reports_the_certified_closure(monke
         scan_closure(query)
     monkeypatch.undo()
     assert pc(query).closure.describe() == "(a c b, {a})"
-
-
-def test_refinement_audit_records_actual_refinements(a2):
-    res = pc(ClosureQuery([a2.element("s t s")], 8))
-    assert len(res.refinements) == 1
-    for step in res.refinements:
-        assert step.contains(res.closure)
-        assert step.contains_element(a2.element("s t s"))
 
 
 def test_matches_brute_force_oracle(b2):
