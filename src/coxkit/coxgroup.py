@@ -226,7 +226,8 @@ class CoxeterSystem:
         of s: f_s is added once for a label 3 and twice for an unbounded
         label, and only the labels 4, 5, 6, ... take a field product.  The
         pairings are ints or field scalars alike; a commuting t's coordinate
-        (and cached sign) is left as the same object."""
+        (and cached sign) is left as the same object, and -f_s carries f_s's
+        cached sign, negated, so a walk never re-tests the letter it took."""
         fs = q[s]
         q[s] = -fs
         adds, scaled = self._neighbours[s]

@@ -29,8 +29,8 @@ The candidate scan remains the fallback for systems whose cone is not
 classified: each w, |w| <= the radius, has one least w W_{I_w} w^{-1} holding
 X, read off n weight points, and the first w of least |I_w| is the hit.  Every
 parabolic containing X contains Pc(X), so that hit is the closure whenever
-the closure lies within the radius: exact for a finite group scanned
-exhaustively, and otherwise radius-limited.
+the closure lies within the radius: exact at rank n - dim Fix(X) or for a
+finite group scanned exhaustively, and otherwise radius-limited.
 """
 
 from __future__ import annotations
@@ -81,11 +81,11 @@ class ClosureQuery:
 class ClosureResult:
     """A closure and how far to trust it.
 
-    status is EXACT when the closure is certified (a parabolic containing X
-    that fixes all of Fix(X), or the whole group when Fix(X) meets the cone
-    only in 0) or the fallback scan was exhaustive.  It is RADIUS_LIMITED
-    when the scan was not: the result is then its first hit, a containing
-    parabolic of least rank within the radius.
+    status is EXACT when the closure is certified: a parabolic containing X
+    that fixes all of Fix(X) (the scan's hit at rank n - dim Fix(X) is one),
+    the whole group when Fix(X) meets the cone only in 0, or the hit of an
+    exhaustive scan.  It is RADIUS_LIMITED otherwise: the scan's first hit,
+    a containing parabolic of least rank within the radius.
     """
 
     __slots__ = ("closure", "status")
@@ -100,15 +100,15 @@ class ClosureResult:
 
 def _candidates(system: CoxeterSystem, radius: int):
     """The elements w of length <= radius with their weight points, as
-    ([(w, weights)], closed) in (length, word) order, a radius past the
-    length L of a finite group's longest element clamped to L.  weights[s]
+    (iterator of (w, weights), closed) in (length, word) order, a radius past
+    the length L of a finite group's longest element clamped to L.  weights[s]
     holds the pairings of w(omega_s), omega_s = fundamental_point(W, S - {s}):
     <omega_s, w^{-1}(alpha_t)>, coordinate s of the root w^{-1}(alpha_t).
-    Those roots are carried down the BFS, (w s)^{-1} = s w^{-1} taking one
-    generator step per root of the parent's.  The BFS is counted layer by
-    layer in the (w, I) parabolics the scan covers, w coset-minimal and I
-    nonempty, and CandidateTableTooLarge is raised as soon as they pass
-    MAX_CANDIDATES, before the next layer is built.
+    Those roots are carried down the BFS as the iterator is read, (w s)^{-1} =
+    s w^{-1} taking one generator step per root of the parent's.  The BFS is
+    counted layer by layer in the (w, I) parabolics the scan covers, w
+    coset-minimal and I nonempty, and CandidateTableTooLarge is raised as soon
+    as they pass MAX_CANDIDATES, before the next layer or any weight is built.
     """
     n = system.rank
     count = 0
@@ -122,11 +122,16 @@ def _candidates(system: CoxeterSystem, radius: int):
                 f"parabolics by length {length} (radius {radius})")
         if closed:
             break
-    elements = [g for layer in layers for g in layer]
-    roots = {(): system._identity_matrix}
-    for w in elements[1:]:
-        roots[w.word] = tuple(system._apply_gen_vec(w.word[-1], r) for r in roots[w.word[:-1]])
-    return [(w, tuple(zip(*roots[w.word]))) for w in elements], closed
+
+    def weighted():
+        roots = {(): system._identity_matrix}
+        for w in (g for layer in layers for g in layer):
+            if w.word:
+                roots[w.word] = tuple(system._apply_gen_vec(w.word[-1], r)
+                                      for r in roots[w.word[:-1]])
+            yield w, tuple(zip(*roots[w.word]))
+
+    return weighted(), closed
 
 
 def _fixed_space(elements) -> list[tuple]:
@@ -264,7 +269,7 @@ def _least_presentation(closure: Parabolic) -> Parabolic:
 
 def scan_closure(query: ClosureQuery) -> ClosureResult:
     """Parabolic closure by the candidate scan alone, within the query's
-    radius, exact only when the scan was exhaustive.
+    radius: exact when the scan was exhaustive or its hit is on the floor.
 
     X lies in w W_I w^{-1} iff X fixes w(omega_s) for every s not in I, as W_I
     is the intersection of the W_{S - {s}}: so iff I holds I_w, the s whose
@@ -274,6 +279,10 @@ def scan_closure(query: ClosureQuery) -> ClosureResult:
     length, word, subset) order.  Each w W_I w^{-1} containing X fixes a space
     of dimension n - |I| inside Fix(X), so no w goes below the floor
     n - dim Fix(X), and the scan stops at the first w on it.
+
+    A hit P on the floor is Pc(X): P holds X, so Fix(P) lies in Fix(X), and
+    both have dimension n - floor, so they are equal.  Each parabolic holding
+    X is the stabilizer of a point of Fix(X), which P fixes, so P lies in it.
     """
     system = query.system
     elements = query.elements
@@ -290,4 +299,5 @@ def scan_closure(query: ClosureQuery) -> ClosureResult:
     closure = make(*best)
     if not all(closure.contains_element(g) for g in elements):
         raise InvariantViolation("closure does not contain the query elements")
-    return ClosureResult(closure, ClosureStatus.EXACT if closed else ClosureStatus.RADIUS_LIMITED)
+    exact = closed or len(best[1]) == floor
+    return ClosureResult(closure, ClosureStatus.EXACT if exact else ClosureStatus.RADIUS_LIMITED)

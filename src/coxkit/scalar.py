@@ -232,7 +232,7 @@ class FieldContext:
     so concurrent readers always see a valid enclosure).
     """
 
-    __slots__ = ("L", "minpoly", "degree", "_powers", "_iso", "_zero", "_one",
+    __slots__ = ("L", "minpoly", "degree", "_reductions", "_iso", "_zero", "_one",
                  "_theta", "_cos_cache")
 
     def __init__(self, L: int, minpoly: tuple[Fraction, ...],
@@ -241,15 +241,14 @@ class FieldContext:
         self.minpoly = minpoly
         self.degree = len(minpoly) - 1
         d = self.degree
-        # reductions of theta^d .. theta^(2d-2) as coefficient tuples
-        powers = []
-        top = [-c for c in minpoly[:-1]]
-        powers.append(tuple(top))
+        # reductions of theta^d .. theta^(2d-2), each kept as the (i, c) pairs
+        # of its nonzero coefficients: half of them are zero for L = 12 or 60
+        powers = [tuple(-c for c in minpoly[:-1])]
         for _ in range(d - 2):
             shifted = [_F0] + list(powers[-1])
             lead = shifted.pop()
             powers.append(tuple(shifted[i] + lead * powers[0][i] for i in range(d)))
-        self._powers = tuple(powers)
+        self._reductions = tuple(tuple((i, c) for i, c in enumerate(p) if c) for p in powers)
         self._iso = iso_interval
         self._zero = FieldScalar(self, (_F0,) * d)
         self._one = FieldScalar(self, (_F1,) + (_F0,) * (d - 1))
@@ -363,7 +362,10 @@ class FieldScalar:
         return o - self
 
     def __neg__(self):
-        return FieldScalar(self.ctx, tuple(-a for a in self.coeffs))
+        """-self, carrying over its cached sign, negated."""
+        neg = FieldScalar(self.ctx, tuple(-a for a in self.coeffs))
+        neg._sign = self._sign and -self._sign
+        return neg
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -381,14 +383,12 @@ class FieldScalar:
             if ai:
                 for j, bj in nonzero:
                     conv[i + j] += ai * bj
+        # theta^k, k >= d, reduces through the nonzero entries of its table row
         res = conv[:d]
-        powers = self.ctx._powers
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
+        for c, reduction in zip(conv[d:], self.ctx._reductions):
             if c:
-                red = powers[k - d]
-                for i in range(d):
-                    res[i] += c * red[i]
+                for i, r in reduction:
+                    res[i] += c * r
         return FieldScalar(self.ctx, tuple(res))
 
     __rmul__ = __mul__
@@ -408,7 +408,8 @@ class FieldScalar:
 
     def sign(self) -> int:
         """Exact sign (-1, 0, +1), decided by rational interval arithmetic on
-        a shrinking isolating interval for theta."""
+        a shrinking isolating interval for theta, and cached on the scalar;
+        a negation inherits the cached sign, negated."""
         if self._sign is not None:
             return self._sign
         if self.is_zero():

@@ -80,8 +80,15 @@ def test_reflection_in_infinite_dihedral(dinf):
 
 
 def test_scan_alone_stays_radius_limited(dinf):
+    # only above its floor: Fix(s) is a line, so the floor is 1 and the
+    # rank-1 hit is Pc(s); b c a c on the 3,3,inf triangle has floor 2 and
+    # no hit below rank 3 within radius 6
     res = scan_closure(ClosureQuery([dinf.element("s")], 6))
     assert res.closure.equals(make(dinf.identity, frozenset({0})))
+    assert res.status is ClosureStatus.EXACT
+    W = build_system([[1, 3, INF], [3, 1, 3], [INF, 3, 1]], "abc")
+    res = scan_closure(ClosureQuery([W.element("b c a c")], 6))
+    assert res.closure.describe() == "(e, {a, b, c})"
     assert res.status is ClosureStatus.RADIUS_LIMITED
 
 
@@ -172,11 +179,11 @@ INF = float("inf")
 
 
 @pytest.mark.parametrize("words, closure, status, floor", [
-    (["a"], "(e, {a})", ClosureStatus.RADIUS_LIMITED, 1),
-    (["c a c"], "(c, {a})", ClosureStatus.RADIUS_LIMITED, 1),
-    (["b a b"], "(a, {b})", ClosureStatus.RADIUS_LIMITED, 1),
-    (["b c b a b c b"], "(b c a, {b})", ClosureStatus.RADIUS_LIMITED, 1),
-    (["a", "c"], "(e, {a, c})", ClosureStatus.RADIUS_LIMITED, 2),
+    (["a"], "(e, {a})", ClosureStatus.EXACT, 1),
+    (["c a c"], "(c, {a})", ClosureStatus.EXACT, 1),
+    (["b a b"], "(a, {b})", ClosureStatus.EXACT, 1),
+    (["b c b a b c b"], "(b c a, {b})", ClosureStatus.EXACT, 1),
+    (["a", "c"], "(e, {a, c})", ClosureStatus.EXACT, 2),
     (["a b c"], "(e, {a, b, c})", ClosureStatus.EXACT, 3),
     (["b c a c"], "(e, {a, b, c})", ClosureStatus.RADIUS_LIMITED, 2),
 ])
@@ -184,12 +191,16 @@ def test_scan_route_golden(words, closure, status, floor):
     # labels 3, 3 and inf: the cone is not classified, so pc scans at
     # radius 6; only Fix = {0} (a b c) is certified without a scan.  floor is
     # n - dim Fix(X), the least rank a containing parabolic can have: every
-    # scan but b c a c's stops there
+    # scan but b c a c's stops there, which certifies its hit.  An exact hit
+    # is the radius-12 scan's first hit too
     W = build_system([[1, 3, INF], [3, 1, 3], [INF, 3, 1]], "abc")
     elements = [W.element(word) for word in words]
     res = pc(ClosureQuery(elements, 6))
     assert (res.closure.describe(), res.status) == (closure, status)
     assert W.rank - len(_fixed_space(elements)) == floor
+    assert all(res.closure.contains_element(g) for g in elements)
+    if status is ClosureStatus.EXACT:
+        assert scan_closure(ClosureQuery(elements, 12)).closure.describe() == closure
 
 
 @pytest.mark.parametrize("matrix, words, expected", [
@@ -249,8 +260,13 @@ def test_closed_enumeration_shares_one_candidate_table():
     # a fresh system: once radius 16 has closed the BFS, every radius from
     # the longest element's length (15) on lists the whole group
     W = build_system(corpus.load("h3").matrix, "abc")
-    assert _candidates(W, 16) == _candidates(W, 40) == _candidates(W, 15)
-    assert _candidates(W, 16)[1] and not _candidates(W, 14)[1]
+
+    def listed(radius):
+        candidates, closed = _candidates(W, radius)
+        return list(candidates), closed
+
+    assert listed(16) == listed(40) == listed(15)
+    assert listed(16)[1] and not listed(14)[1]
 
 
 def _first_hit(elements, radius):

@@ -362,7 +362,21 @@ def test_less_than_zero_is_the_sign(name, data):
         field.scalar(coeffs) < other.zero
 
 
-_PRODUCT_FIELDS = {L: field_for((1, L), (L, 1)) for L in (4, 5, 12, 15)}
+@given(st.sampled_from(corpus.NAMES), st.data(), st.booleans())
+def test_negation_keeps_the_sign(name, data, cached):
+    # -a inherits a's cached sign, negated; a fresh scalar with -a's
+    # coefficients decides its sign from scratch
+    field = corpus.load(name).field
+    coeffs = data.draw(st.lists(st.fractions(-4, 4, max_denominator=6),
+                                min_size=field.degree, max_size=field.degree))
+    a = field.scalar(coeffs)
+    if cached:
+        a.sign()
+    assert (-a).sign() == field.scalar((-a).coeffs).sign() == -a.sign()
+
+
+# L = 12 and L = 60 (degree 16) reduce through tables that are half zeros
+_PRODUCT_FIELDS = {L: field_for((1, L), (L, 1)) for L in (4, 5, 12, 15, 60)}
 
 
 @st.composite
