@@ -44,7 +44,8 @@ from __future__ import annotations
 import math
 
 from .errors import (DimensionMismatch, InvalidMatrix, InvalidQuery, InvariantViolation,
-                     MixedSystems, UnknownGenerator, require_count, require_iterable)
+                     MixedSystems, UnknownGenerator, require_count, require_instance,
+                     require_iterable)
 from .scalar import INFINITY, FieldContext, FieldScalar, build_field, cos_pi_over, validate_matrix
 
 _DEFAULT_LABELS = "abcdefghijklmnopqrstuvwxyz"
@@ -106,7 +107,10 @@ class CoxeterSystem:
         self.rank = len(self.matrix)
         if labels is None:
             labels = _DEFAULT_LABELS[:self.rank]
-        labels = tuple(str(l) for l in labels)
+        try:
+            labels = tuple(str(l) for l in labels)
+        except TypeError:
+            raise InvalidMatrix(f"labels {labels!r} are not a sequence") from None
         if len(labels) != self.rank:
             raise InvalidMatrix("label count does not match the rank")
         if len(set(labels)) != self.rank or any(not l or l.split() != [l] for l in labels):
@@ -640,7 +644,7 @@ def order_of_product(system: CoxeterSystem, s: int, t: int, cap: int = 64):
     InvalidQuery.
     """
     require_count(cap, "cap", positive=True)
-    letters = system.check_letters((s, t))
+    letters = require_instance(system, CoxeterSystem, "system").check_letters((s, t))
     m = system.matrix[letters[0]][letters[1]]
     M = system.compose_matrix(letters)
     P = M

@@ -78,9 +78,10 @@ class GroupNotFinite(CoxeterError):
 
 
 class CandidateTableTooLarge(CoxeterError):
-    """The closure candidate scan would cover more parabolics (w, I), w
-    coset-minimal and I nonempty, than the cap (paraclose.MAX_CANDIDATES)
-    within the radius asked for, though it tries each w once."""
+    """The closure candidate scan reached a BFS layer that takes the
+    parabolics (w, I) it covers, w coset-minimal and I nonempty, past the cap
+    (paraclose.MAX_CANDIDATES) before a hit on its floor, though it tries
+    each w once."""
 
 
 class NotAParabolic(CoxeterError):

@@ -15,7 +15,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .coxgroup import CoxeterSystem, GroupElement
-from .errors import GroupNotFinite, MixedSystems, NotAParabolic
+from .errors import (GroupNotFinite, MixedSystems, NotAParabolic, require_count,
+                     require_instance, require_iterable)
 from .parabolic import Parabolic, make
 
 
@@ -134,7 +135,9 @@ class FiniteGroupTable:
 
 
 def enumerate_group(system: CoxeterSystem, cap: int = 200000) -> FiniteGroupTable:
-    """Enumerate a finite group; raises GroupNotFinite past the cap."""
+    """Enumerate a finite group; raises GroupNotFinite past the cap, and
+    InvalidQuery for a cap that is not a positive int."""
+    require_count(cap, "cap", positive=True)
     cached = system.cache["oracle_table"]
     if cached is not None:
         _check_cap(cached.order, cap)
@@ -150,7 +153,8 @@ def brute_pc(table: FiniteGroupTable,
     the minimal-rank characterization: exactly one containing parabolic has
     minimal rank, and it equals the intersection.  Raises NotAParabolic when
     either check fails (they never do, which is the point)."""
-    indices = {table.element_index(g) for g in elements}
+    indices = {table.element_index(require_instance(g, GroupElement, "element"))
+               for g in require_iterable(elements, "elements")}
     containing = [(p, m) for p, m in table.parabolics() if indices <= m]
     result = frozenset.intersection(*(m for _, m in containing))
     best_rank = min(p.rank for p, _ in containing)

@@ -146,7 +146,7 @@ def conjugacy_normalize(system: CoxeterSystem, gens_i, gens_j,
     exactly onto {alpha_i : i in I}.  Returns the witness, or None as a
     refutation.
     """
-    if w.system is not system:
+    if require_instance(w, GroupElement, "element").system is not system:
         raise MixedSystems("element belongs to a different system")
     I = system.label_set(gens_i)
     J = system.label_set(gens_j)

@@ -3,10 +3,20 @@
 Every parabolic subgroup is the stabilizer of a point of the Tits cone U, and
 an intersection of parabolics is parabolic (arXiv math/0512408), so the
 closure Pc(X) is the stabilizer of a generic point of Fix(X) ∩ U, where
-Fix(X) is the space of dual points fixed by every element of X.  pc computes
-a basis of Fix(X) exactly and, for a system whose cone is classified
-(titscone.ConeComponent: finite, affine and compact hyperbolic components),
-certifies the closure with walks alone:
+Fix(X) is the space of dual points fixed by every element of X.  A point is
+fixed by x iff it vanishes on im(x - 1), so Fix(X) is the annihilator of
+A = sum of the im(x - 1), x in X; one exact elimination gives both bases.
+
+The candidate scan (scan_closure) reads each w's least parabolic
+w W_{I_w} w^{-1} holding X off A, and stops at the first w whose |I_w| is the
+floor dim A: that hit is Pc(X).  pc scans a finite group to its end, where
+the floor is always reached, so it reports the ShortLex-least (w, I) naming
+the closure; past MAX_CANDIDATES it falls back to the walks below.  A system
+whose cone is not classified is scanned within the query's radius.
+
+Any other system has a classified cone (titscone.ConeComponent: finite,
+affine and compact hyperbolic components), and pc certifies the closure with
+walks alone, in the presentation (rep, gens) they end at:
 
 * On each infinite component, either Fix(X) meets the cone only in 0, and
   the closure contains that whole component, or an exact point of the cone
@@ -19,24 +29,13 @@ certifies the closure with walks alone:
   containing X (each one is the stabilizer of a point of Fix(X)): it is the
   closure, and its status is exact.  Fix(X) = {0} certifies the whole group
   in any Coxeter group.
-
-Infinite groups report the presentation (rep, gens) the walks end at.  A
-finite group reports the ShortLex-least (w, I) naming its closure: a search
-of the BFS layers from the closure's base point, up to the length of the
-walked presentation, which needs no candidate table.
-
-The candidate scan remains the fallback for systems whose cone is not
-classified: each w, |w| <= the radius, has one least w W_{I_w} w^{-1} holding
-X, read off n weight points, and the first w of least |I_w| is the hit.  Every
-parabolic containing X contains Pc(X), so that hit is the closure whenever
-the closure lies within the radius: exact at rank n - dim Fix(X) or for a
-finite group scanned exhaustively, and otherwise radius-limited.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from math import prod
+from itertools import count
+from math import inf, prod
 
 from .coxgroup import CoxeterSystem, GroupElement
 from .errors import (CandidateTableTooLarge, InvalidQuery, InvariantViolation, MixedSystems,
@@ -44,10 +43,9 @@ from .errors import (CandidateTableTooLarge, InvalidQuery, InvariantViolation, M
 from .parabolic import Parabolic, _intersect_stabilizer, make
 from .titscone import DualPoint, cone_components, stabilizer
 
-# About 5x the largest table the tests, the verify suites and the benchmark
-# build (2050 candidates: hyperbolic_334 at radius 12).  A table at the cap
-# holds some tens of MB; the BFS grows by a factor of 1.4-1.6 per length in
-# the hyperbolic groups, so an unbounded radius would exhaust memory.
+# About 5x the 2050 parabolics of hyperbolic_334's scan at radius 12.  The
+# scan holds no table, but the BFS it walks keeps its layers and grows by a
+# factor of 1.4-1.6 per length in the hyperbolic groups.
 MAX_CANDIDATES = 10000
 
 
@@ -57,9 +55,9 @@ class ClosureStatus(Enum):
 
 
 class ClosureQuery:
-    """A set of group elements and a radius.  The radius bounds only the
-    candidate scan of a system whose cone is not classified: the scan tries
-    the elements w with |w| <= radius."""
+    """A set of group elements and a radius, which bounds only the cost of
+    the candidate scan of a system whose cone is not classified: the scan
+    tries the elements w with |w| <= radius."""
 
     __slots__ = ("elements", "radius")
 
@@ -79,14 +77,11 @@ class ClosureQuery:
 
 
 class ClosureResult:
-    """A closure and how far to trust it.
-
-    status is EXACT when the closure is certified: a parabolic containing X
-    that fixes all of Fix(X) (the scan's hit at rank n - dim Fix(X) is one),
-    the whole group when Fix(X) meets the cone only in 0, or the hit of an
-    exhaustive scan.  It is RADIUS_LIMITED otherwise: the scan's first hit,
-    a containing parabolic of least rank within the radius.
-    """
+    """A closure and how far to trust it: status is EXACT when the closure
+    is certified, a parabolic containing X that fixes all of Fix(X) (as a
+    scan's hit on its floor does) or the whole group when Fix(X) meets the
+    cone only in 0, and RADIUS_LIMITED for a scan's hit above its floor, a
+    containing parabolic of least rank within the radius."""
 
     __slots__ = ("closure", "status")
 
@@ -98,53 +93,50 @@ class ClosureResult:
         return f"ClosureResult({self.closure!r}, {self.status.value})"
 
 
-def _candidates(system: CoxeterSystem, radius: int):
-    """The elements w of length <= radius with their weight points, as
-    (iterator of (w, weights), closed) in (length, word) order, a radius past
-    the length L of a finite group's longest element clamped to L.  weights[s]
-    holds the pairings of w(omega_s), omega_s = fundamental_point(W, S - {s}):
-    <omega_s, w^{-1}(alpha_t)>, coordinate s of the root w^{-1}(alpha_t).
-    Those roots are carried down the BFS as the iterator is read, (w s)^{-1} =
-    s w^{-1} taking one generator step per root of the parent's.  The BFS is
-    counted layer by layer in the (w, I) parabolics the scan covers, w
-    coset-minimal and I nonempty, and CandidateTableTooLarge is raised as soon
-    as they pass MAX_CANDIDATES, before the next layer or any weight is built.
-    """
+def _candidates(system: CoxeterSystem, radius, vectors):
+    """The elements w of length <= radius, up to the end of a finite group,
+    lazily in (length, word) order, each with I_w: the s with (w^{-1} a)_s
+    nonzero for some a in vectors, a basis of A.  The images w^{-1}(a) are
+    carried down the BFS, (w s)^{-1} = s w^{-1}, keeping one layer.  Each
+    layer is counted as it is reached in the (w, I) parabolics the scan
+    covers, w coset-minimal and I nonempty, and CandidateTableTooLarge is
+    raised once they pass MAX_CANDIDATES, before the layer is yielded."""
     n = system.rank
-    count = 0
-    for length in range(radius + 1):
+    listed = 0
+    images = {(): tuple(vectors)}
+    for length in count():
+        if length > radius:
+            return
         layers, closed = system.elements_up_to(length)
         # w heads a candidate for each nonempty I missing its right descents
-        count += sum((1 << (n - len(w.right_descents))) - 1 for w in layers[length])
-        if count > MAX_CANDIDATES:
+        listed += sum((1 << (n - len(w.right_descents))) - 1 for w in layers[length])
+        if listed > MAX_CANDIDATES:
             raise CandidateTableTooLarge(
                 f"the closure candidate scan lists more than {MAX_CANDIDATES} "
                 f"parabolics by length {length} (radius {radius})")
-        if closed:
-            break
-
-    def weighted():
-        roots = {(): system._identity_matrix}
-        for w in (g for layer in layers for g in layer):
+        previous, images = images, {}
+        for w in layers[length]:
+            image = previous[w.word[:-1]]
             if w.word:
-                roots[w.word] = tuple(system._apply_gen_vec(w.word[-1], r)
-                                      for r in roots[w.word[:-1]])
-            yield w, tuple(zip(*roots[w.word]))
+                image = tuple(system._apply_gen_vec(w.word[-1], a) for a in image)
+            images[w.word] = image
+            yield w, [s for s in range(n) if any(a[s] for a in image)]
+        if closed:
+            return
 
-    return weighted(), closed
 
-
-def _fixed_space(elements) -> list[tuple]:
-    """A basis of Fix(X) in pairing coordinates: the null space of the rows
-    of M_g^T - I stacked over g in X.  Row t of M_g^T is the root g(alpha_t),
-    and f is fixed by g iff <f, g(alpha_t)> = f_t for every t (g and g^{-1}
-    fix the same points).
+def _fixed_space(elements) -> tuple[list[list], list[tuple]]:
+    """Bases (rows, basis) of A and of Fix(X), in simple-root and pairing
+    coordinates: the pivot rows and the null space of the rows of M_g^T - I
+    stacked over g in X.  Row t of M_g^T - I is g(alpha_t) - alpha_t, and f
+    is fixed by g iff <f, g(alpha_t)> = f_t for every t (g and g^{-1} fix
+    the same points).
 
     Division-free, cross-multiplying elimination.  The pivot rows stay in
     reduced form: a new row r is cleared at each pivot column c by
     r <- p[c]*r - r[c]*p, and its own pivot column is then cleared from the
-    earlier pivot rows the same way.  Returns [] as soon as the rank reaches
-    n, when only 0 is fixed.
+    earlier pivot rows the same way.  Returns the n pivot rows and [] as
+    soon as the rank reaches n, when only 0 is fixed.
     """
     system = elements[0].system
     n = system.rank
@@ -169,7 +161,7 @@ def _fixed_space(elements) -> list[tuple]:
                       for c, prow in pivots]
             pivots.append((lead, row))
             if len(pivots) == n:
-                return []
+                return [row for _, row in pivots], []
     # free column j: v_j = prod_i a_i and v_{c_i} = -p_i[j] * prod_{k != i} a_k
     # for the pivot rows p_i with pivots a_i = p_i[c_i]
     leads = [prow[c] for c, prow in pivots]
@@ -183,7 +175,7 @@ def _fixed_space(elements) -> list[tuple]:
         for i, (c, prow) in enumerate(pivots):
             v[c] = -prow[j] * prod(leads[:i] + leads[i + 1:], start=field.one)
         basis.append(tuple(v))
-    return basis
+    return [row for _, row in pivots], basis
 
 
 def _certify(system: CoxeterSystem, basis) -> Parabolic | None:
@@ -226,78 +218,62 @@ def _certify(system: CoxeterSystem, basis) -> Parabolic | None:
 
 
 def pc(query: ClosureQuery) -> ClosureResult:
-    """Parabolic closure of the query set: certified when the system's cone
-    is classified, otherwise the scan within the radius."""
+    """Parabolic closure of the query set: a finite group's scan, else the
+    certified walks when the system's cone is classified, else the scan
+    within the radius."""
     system = query.system
     elements = query.elements
     if all(g.is_identity for g in elements):
         return ClosureResult(make(system.identity, frozenset()), ClosureStatus.EXACT)
-    basis = _fixed_space(elements)
+    rows, basis = _fixed_space(elements)
     if not basis:
         return ClosureResult(make(system.identity, frozenset(range(system.rank))),
                              ClosureStatus.EXACT)
+    finite = all(c.kind == "finite" for c in cone_components(system))
+    if finite:
+        try:
+            return _scan(elements, rows, inf)
+        except CandidateTableTooLarge:
+            pass
     certified = _certify(system, basis)
     if certified is None:
-        return scan_closure(query)
-    if certified.rank < system.rank and all(c.kind == "finite" for c in cone_components(system)):
-        certified = _least_presentation(certified)
-        if not all(certified.contains_element(g) for g in elements):
-            raise InvariantViolation("the certified closure misses a query element")
+        return _scan(elements, rows, query.radius)
+    if finite and not all(certified.contains_element(g) for g in elements):
+        raise InvariantViolation("the certified closure misses a query element")
     return ClosureResult(certified, ClosureStatus.EXACT)
-
-
-def _least_presentation(closure: Parabolic) -> Parabolic:
-    """The ShortLex-least (w, I) naming a finite group's closure P, |w| <= |rep|
-    as P's (rep, gens) names it; P itself past MAX_CANDIDATES elements.  (w, I)
-    names P when I, the generators pairing to 0 with w^{-1}(b), b P's base
-    point, has P's rank: w W_I w^{-1} then lies in P, and a parabolic of P's
-    rank in P is P.  The first such w is shortest in w W_I, as a shorter
-    element of w W_I names P with the same I."""
-    system = closure.system
-    points = {(): closure.base_point.coords}
-    for length in range(closure.rep.length + 1):
-        if len(points) > MAX_CANDIDATES:
-            break
-        for w in system.elements_up_to(length)[0][length]:
-            if w.word:
-                points[w.word] = system._dual_image(w.word[-1], points[w.word[:-1]])
-            I = [s for s, c in enumerate(points[w.word]) if c.is_zero()]
-            if len(I) == closure.rank:
-                return make(w, I)
-    return closure
 
 
 def scan_closure(query: ClosureQuery) -> ClosureResult:
     """Parabolic closure by the candidate scan alone, within the query's
-    radius: exact when the scan was exhaustive or its hit is on the floor.
+    radius: exact when its hit is on the floor n - dim Fix(X).
 
-    X lies in w W_I w^{-1} iff X fixes w(omega_s) for every s not in I, as W_I
-    is the intersection of the W_{S - {s}}: so iff I holds I_w, the s whose
-    w(omega_s) some x in X moves.  The first w of least |I_w| has no right
-    descent s in I_w, else w s would be shorter with the same subset, so
-    (w, I_w) is the first containing (w, I), w coset-minimal, in (rank,
-    length, word, subset) order.  Each w W_I w^{-1} containing X fixes a space
-    of dimension n - |I| inside Fix(X), so no w goes below the floor
-    n - dim Fix(X), and the scan stops at the first w on it.
+    X lies in w W_I w^{-1} iff X fixes w(omega_s) for every s not in I, as
+    W_I is the intersection of the W_{S - {s}}, and <w(omega_s), a> =
+    (w^{-1} a)_s: so iff w^{-1} maps A into span{alpha_s : s in I}, and I_w
+    is the union of the supports of w^{-1}(a).  The first w of least |I_w|
+    has no right descent in I_w, else w s would be shorter with the same
+    subset: (w, I_w) is the first containing (w, I), w coset-minimal, in
+    (rank, length, word, subset) order.  Each w W_I w^{-1} containing X fixes
+    a space of dimension n - |I| inside Fix(X), so no |I_w| is below the
+    floor.
 
     A hit P on the floor is Pc(X): P holds X, so Fix(P) lies in Fix(X), and
     both have dimension n - floor, so they are equal.  Each parabolic holding
     X is the stabilizer of a point of Fix(X), which P fixes, so P lies in it.
     """
-    system = query.system
-    elements = query.elements
-    candidates, closed = _candidates(system, query.radius)
-    floor = system.rank - len(_fixed_space(elements))
+    return _scan(query.elements, _fixed_space(query.elements)[0], query.radius)
+
+
+def _scan(elements, rows, radius) -> ClosureResult:
+    """The scan of scan_closure for the pivot rows of elements' A."""
     best = None
-    for w, weights in candidates:
-        I = [s for s, point in enumerate(weights)
-             if not all(g.fixes_dual_coords(point) for g in elements)]
+    for w, I in _candidates(elements[0].system, radius, rows):
         if best is None or len(I) < len(best[1]):
             best = (w, I)
-            if len(I) == floor:
+            if len(I) == len(rows):
                 break
     closure = make(*best)
     if not all(closure.contains_element(g) for g in elements):
         raise InvariantViolation("closure does not contain the query elements")
-    exact = closed or len(best[1]) == floor
+    exact = len(best[1]) == len(rows)
     return ClosureResult(closure, ClosureStatus.EXACT if exact else ClosureStatus.RADIUS_LIMITED)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .coxgroup import CoxeterSystem, GroupElement
 from .errors import (InvariantViolation, NotARoot, RootSignViolation,
-                     StepCapExceeded, SupportNotContained, require_count)
+                     StepCapExceeded, SupportNotContained, require_count, require_instance)
 
 _REFLECTION_WORD_CAP = 4096
 
@@ -29,7 +29,7 @@ class Root:
     __slots__ = ("system", "coords", "support", "sign")
 
     def __init__(self, system: CoxeterSystem, coords):
-        coords = system._field_coords(coords)
+        coords = require_instance(system, CoxeterSystem, "system")._field_coords(coords)
         signs = {c.sign() for c in coords}
         signs.discard(0)
         if len(signs) != 1:
@@ -89,7 +89,7 @@ def simple_root(system: CoxeterSystem, s: int) -> Root:
 
 def root_of(w: GroupElement, s: int) -> Root:
     """The root w(alpha_s); s must be a generator index."""
-    system = w.system
+    system = require_instance(w, GroupElement, "element").system
     (s,) = system.check_letters((s,))
     return Root(system, w.act(system.basis_vector(s)))
 
@@ -114,7 +114,7 @@ def reflection_of_root(root: Root) -> Reflection:
     root the walk hits the cap, ends away from rho, or spells an element
     whose matrix is not T, and each raises NotARoot.
     """
-    system = root.system
+    system = require_instance(root, Root, "root").system
     if root.sign < 0:
         raise NotARoot("reflections are indexed by positive roots")
     if root.norm() != 1:
@@ -179,7 +179,7 @@ def descend_root(root: Root, gens) -> tuple[GroupElement, int]:
     with root = u(alpha_s).  A descent longer than _REFLECTION_WORD_CAP steps
     raises StepCapExceeded.
     """
-    system = root.system
+    system = require_instance(root, Root, "root").system
     I = system.label_set(gens)
     if root.sign < 0:
         raise RootSignViolation("descend_root expects a positive root")

@@ -95,7 +95,12 @@ def double_cosine_polys(m: int):
 
 def validate_matrix(matrix) -> tuple[tuple[int | float, ...], ...]:
     """Check the defining conditions of a Coxeter matrix and return it as a
-    tuple of tuples with entries int or INFINITY.  Raises InvalidMatrix."""
+    tuple of tuples with entries int or INFINITY.  Raises InvalidMatrix, also
+    for a matrix or a row that cannot be iterated over."""
+    try:
+        matrix = [tuple(row) for row in matrix]
+    except TypeError:
+        raise InvalidMatrix(f"matrix {matrix!r} is not a sequence of rows") from None
     rows = []
     n = len(matrix)
     if n == 0:

@@ -31,7 +31,7 @@ class DualPoint:
     __slots__ = ("system", "coords")
 
     def __init__(self, system: CoxeterSystem, coords):
-        self.system = system
+        self.system = require_instance(system, CoxeterSystem, "system")
         self.coords = system._field_coords(coords)
 
     def transformed_by(self, w: GroupElement) -> "DualPoint":
@@ -73,7 +73,7 @@ class CellLocation:
 def fundamental_point(system: CoxeterSystem, gens) -> DualPoint:
     """The marked point of the face C_I: pairing 0 with alpha_s for s in the
     subset, pairing 1 otherwise (the all-ones point for the empty subset)."""
-    I = system.label_set(gens)
+    I = require_instance(system, CoxeterSystem, "system").label_set(gens)
     one, zero = system.field.one, system.field.zero
     return DualPoint(system,
                      tuple(zero if s in I else one for s in range(system.rank)))

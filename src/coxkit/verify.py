@@ -357,8 +357,8 @@ def suite_rank_drop(check):
 
 @_suite("parabolic-closure")
 def suite_parabolic_closure(check):
-    """pc, which certifies the closure and searches the BFS for a finite
-    group's least presentation, equals the brute-force closure (with its
+    """pc, which scans a finite group to the floor n - dim Fix(X) for its
+    least presentation, equals the brute-force closure (with its
     minimal-rank uniqueness checks) on 200 random query sets in every finite
     corpus group."""
     for gi, name in enumerate(sorted(EXPECTED_ORDERS)):

@@ -210,11 +210,12 @@ def test_oversized_field_is_domain_error(tmp_path, rows):
 
 def test_candidate_scan_past_its_cap_is_domain_error(tmp_path):
     # labels 3, 3 and inf: no classified cone, so pc falls back to the scan,
-    # whose BFS grows about 1.6 times per length
+    # whose BFS grows about 1.6 times per length; b c a c has no hit on its
+    # floor before the count passes the cap
     path = tmp_path / "tri.cox"
     path.write_text("rank 3\nlabels a b c\n1 3 inf\n3 1 3\ninf 3 1\n")
     start = time.monotonic()
-    code, _, err = run_process("pc", str(path), "a b", "--radius", "40")
+    code, _, err = run_process("pc", str(path), "b c a c", "--radius", "40")
     assert time.monotonic() - start < 5
     assert code == 1
     assert err.startswith("CandidateTableTooLarge:") and "Traceback" not in err

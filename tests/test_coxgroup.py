@@ -13,11 +13,11 @@ from coxkit.coxgroup import (_first_sign, build_system, order_of_product,
 from coxkit.errors import (DimensionMismatch, InvalidMatrix, InvalidQuery,
                            InvariantViolation, MixedFields, MixedSystems,
                            UnknownGenerator)
-from coxkit.oracle import enumerate_group
-from coxkit.parabolic import intersect, make
+from coxkit.oracle import brute_pc, enumerate_group
+from coxkit.parabolic import conjugacy_normalize, intersect, make
 from coxkit.paraclose import ClosureQuery, pc
-from coxkit.roots import Root
-from coxkit.titscone import DualPoint, cone_components, locate
+from coxkit.roots import Root, descend_root, reflection_of_root, root_of
+from coxkit.titscone import DualPoint, cone_components, fundamental_point, locate
 from coxkit.scalar import INFINITY, FieldScalar
 
 from groupmodels import MODELS
@@ -43,6 +43,15 @@ def test_gram_matrix_infinite_dihedral(dinf):
 def test_asymmetric_matrix_rejected():
     with pytest.raises(InvalidMatrix):
         build_system(((1, 3), (4, 1)))
+
+
+@pytest.mark.parametrize("matrix, labels", [
+    (5, None), ([5], None), ([[1, 3], [3, 1]], 5),
+], ids=["int-matrix", "int-row", "int-labels"])
+def test_matrix_or_labels_that_are_not_sequences_rejected(matrix, labels):
+    # an InvalidMatrix, not a bare TypeError
+    with pytest.raises(InvalidMatrix):
+        build_system(matrix, labels)
 
 
 def test_bad_labels_rejected():
@@ -851,6 +860,27 @@ def test_non_iterable_input_is_a_typed_error(a2, call):
     # word text that is not a string, is refused with InvalidQuery
     with pytest.raises(InvalidQuery):
         _NON_ITERABLE_CALLS[call](a2)
+
+
+_NOT_A_COXKIT_OBJECT_CALLS = {
+    "Root('x', v)": lambda W: Root("x", (1, 0)),
+    "DualPoint('x', f)": lambda W: DualPoint("x", (1, 0)),
+    "fundamental_point('x', I)": lambda W: fundamental_point("x", [0]),
+    "root_of('x', 0)": lambda W: root_of("x", 0),
+    "reflection_of_root('x')": lambda W: reflection_of_root("x"),
+    "descend_root('x', I)": lambda W: descend_root("x", [0]),
+    "conjugacy_normalize(W, I, J, 'x')": lambda W: conjugacy_normalize(W, [0], [0], "x"),
+    "order_of_product('x', 0, 1)": lambda W: order_of_product("x", 0, 1),
+    "brute_pc(table, ['x'])": lambda W: brute_pc(enumerate_group(W), ["x"]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NOT_A_COXKIT_OBJECT_CALLS))
+def test_argument_that_is_not_a_coxkit_object_is_a_typed_error(a2, call):
+    # a string where a system, element or root belongs: InvalidQuery, not a
+    # bare AttributeError
+    with pytest.raises(InvalidQuery):
+        _NOT_A_COXKIT_OBJECT_CALLS[call](a2)
 
 
 # 2 is a2's rank, one past its last generator index

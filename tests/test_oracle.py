@@ -9,7 +9,7 @@ import pytest
 import coxkit
 from coxkit import corpus
 from coxkit.coxgroup import build_system, parse_group_file
-from coxkit.errors import GroupNotFinite, MixedSystems
+from coxkit.errors import GroupNotFinite, InvalidQuery, MixedSystems
 from coxkit.oracle import FiniteGroupTable, brute_pc, enumerate_group
 
 ENGINE_MODULES = ("scalar", "coxgroup", "roots", "titscone", "parabolic",
@@ -24,6 +24,15 @@ def test_orders():
 def test_infinite_group_raises(dinf):
     with pytest.raises(GroupNotFinite):
         enumerate_group(dinf, cap=300)
+
+
+@pytest.mark.parametrize("cap", [-1, 0, "x", 2.5, True])
+def test_cap_that_is_not_a_positive_int_rejected(cap):
+    # checked before the cached table is read
+    h3 = corpus.load("h3")
+    enumerate_group(h3)
+    with pytest.raises(InvalidQuery):
+        enumerate_group(h3, cap=cap)
 
 
 def test_cached_table_respects_cap():

@@ -20,7 +20,7 @@ RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "reco
 
 def _refuse_scan(monkeypatch):
     """Make any call of the candidate scan fail the test."""
-    def refuse(system, radius):
+    def refuse(system, radius, vectors):
         raise AssertionError("pc fell back to the candidate scan")
     monkeypatch.setattr(paraclose, "_candidates", refuse)
 
@@ -141,20 +141,40 @@ def test_infinite_groups_build_no_candidate_table(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["b3", "h3"])
-def test_finite_groups_build_no_candidate_table(name, monkeypatch):
-    # pc's search for the least presentation walks the BFS layers and lists
-    # no candidates
-    _refuse_scan(monkeypatch)
+def test_finite_groups_within_the_cap_are_not_walked(name, monkeypatch):
+    # pc scans a finite group to its end and never needs the certificate
+    def refuse(system, basis):
+        raise AssertionError("pc fell back to the certified walks")
+    monkeypatch.setattr(paraclose, "_certify", refuse)
     W = corpus.load(name)
     for word in ((0,), (0, 1), (1, 0, 1), (2, 0, 1, 0, 1, 1, 2), (1, 2, 1, 0, 1)):
-        for radius in (3, 64):
+        for radius in (0, 3, 64):
             assert pc(ClosureQuery([W.normalize(word)], radius)).status is ClosureStatus.EXACT
 
 
 @pytest.mark.parametrize("name", corpus.FINITE_NAMES)
+def test_finite_groups_past_the_cap_fall_back_to_the_certificate(name, monkeypatch):
+    # with no parabolic allowed, every finite scan raises at once and pc
+    # reports the certified walks' closure: exact, holding X and equal to
+    # the oracle's
+    monkeypatch.setattr(paraclose, "MAX_CANDIDATES", 0)
+    W = corpus.load(name)
+    table = enumerate_group(W)
+    rng = random.Random(30)
+    for _ in range(40):
+        elements = [table.elements[rng.randrange(table.order)] for _ in range(rng.randint(1, 3))]
+        res = pc(ClosureQuery(elements, 0))
+        oracle_p, oracle_m = brute_pc(table, elements)
+        assert res.status is ClosureStatus.EXACT, elements
+        assert all(res.closure.contains_element(g) for g in elements), elements
+        assert table.subgroup_elements(res.closure) == oracle_m, elements
+        assert res.closure.equals(oracle_p), elements
+
+
+@pytest.mark.parametrize("name", corpus.FINITE_NAMES)
 def test_finite_presentations_match_the_scan(name):
-    # the scan's first containing candidate of the closure's rank is the
-    # least presentation pc searches for
+    # pc's scan to the end of the group gives the radius-64 scan's first
+    # hit, the least presentation
     W = corpus.load(name)
     rng = random.Random(64)
     for _ in range(100):
@@ -169,7 +189,7 @@ def test_finite_presentations_match_the_scan(name):
     ("a2", "s t s", (0, 8), "(s, {t})"),
 ])
 def test_finite_presentation_does_not_depend_on_the_radius(name, word, radii, expected):
-    # the search runs up to the walked presentation's length, whatever the radius
+    # the scan of a finite group runs to its end, whatever the radius
     W = corpus.load(name)
     for radius in radii:
         assert pc(ClosureQuery([W.element(word)], radius)).closure.describe() == expected
@@ -197,7 +217,7 @@ def test_scan_route_golden(words, closure, status, floor):
     elements = [W.element(word) for word in words]
     res = pc(ClosureQuery(elements, 6))
     assert (res.closure.describe(), res.status) == (closure, status)
-    assert W.rank - len(_fixed_space(elements)) == floor
+    assert W.rank - len(_fixed_space(elements)[1]) == floor
     assert all(res.closure.contains_element(g) for g in elements)
     if status is ClosureStatus.EXACT:
         assert scan_closure(ClosureQuery(elements, 12)).closure.describe() == closure
@@ -235,38 +255,61 @@ def test_closures_in_reducible_systems(matrix, words, expected):
         assert res.closure.rank == expected
 
 
-@pytest.mark.parametrize("name, radius", [("b3", 16), ("h3", 16), ("affine_a2", 8)])
+def _system(name):
+    if name == "triangle":
+        return build_system([[1, 3, INF], [3, 1, 3], [INF, 3, 1]], "abc")
+    return corpus.load(name)
+
+
+@pytest.mark.parametrize("name, radius", [("b3", 16), ("h3", 16), ("affine_a2", 8),
+                                          ("triangle", 6)])
 def test_candidate_base_points_match_the_dual_action(name, radius):
-    # weights[s] is w(omega_s), the base point of w W_{S - {s}} w^{-1}
-    W = corpus.load(name)
-    candidates, _ = _candidates(W, radius)
-    for w, weights in candidates:
-        assert len(weights) == W.rank
-        for s, point in enumerate(weights):
-            others = [t for t in range(W.rank) if t != s]
-            assert point == w.act_dual_coords(fundamental_point(W, others).coords)
+    # I_w, read off the supports of w^{-1}(a), is the set of s whose base
+    # point w(omega_s) of w W_{S - {s}} w^{-1} some x in X moves
+    W = _system(name)
+    omegas = [fundamental_point(W, [t for t in range(W.rank) if t != s]).coords
+              for s in range(W.rank)]
+    rng = random.Random(31)
+    for _ in range(3):
+        elements = [W.normalize([rng.randrange(W.rank) for _ in range(rng.randint(1, 6))])
+                    for _ in range(rng.randint(1, 2))]
+        for w, I in _candidates(W, radius, _fixed_space(elements)[0]):
+            moved = [s for s, omega in enumerate(omegas)
+                     if not all(g.fixes_dual_coords(w.act_dual_coords(omega)) for g in elements)]
+            assert I == moved, (elements, w)
 
 
 @pytest.mark.parametrize("name, radius", [("h3", 16), ("hyperbolic_334", 6)])
 def test_candidates_are_listed_in_search_order(name, radius):
     # (length, word), each element once and none longer than the radius
-    candidates, _ = _candidates(corpus.load(name), radius)
-    keys = [(w.length, w.word) for w, _ in candidates]
+    W = corpus.load(name)
+    rows = _fixed_space([W.generator(0)])[0]
+    keys = [(w.length, w.word) for w, _ in _candidates(W, radius, rows)]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     assert max(length for length, _ in keys) <= radius
 
 
 def test_closed_enumeration_shares_one_candidate_table():
     # a fresh system: once radius 16 has closed the BFS, every radius from
-    # the longest element's length (15) on lists the whole group
+    # the longest element's length (15) on lists the whole group, and a
+    # shorter radius lists less
     W = build_system(corpus.load("h3").matrix, "abc")
+    rows = _fixed_space([W.element("a b")])[0]
 
     def listed(radius):
-        candidates, closed = _candidates(W, radius)
-        return list(candidates), closed
+        return list(_candidates(W, radius, rows))
 
     assert listed(16) == listed(40) == listed(15)
-    assert listed(16)[1] and not listed(14)[1]
+    assert len(listed(16)) == 120 and len(listed(14)) == 119
+
+
+def test_floor_hit_before_the_cap_answers():
+    # the scan counts each layer as it reaches it: a b on the 3,3,inf
+    # triangle hits its floor at w = e, though by radius 40 the count passes
+    # the cap (at length 14)
+    W = _system("triangle")
+    res = pc(ClosureQuery([W.element("a b")], 40))
+    assert (res.closure.describe(), res.status) == ("(e, {a, b})", ClosureStatus.EXACT)
 
 
 def _first_hit(elements, radius):
@@ -317,7 +360,7 @@ def test_fixed_space_dimension_is_corank_of_closure(b3):
     # for a finite group, Fix(X) = Fix(Pc(X)) has dimension n - rank Pc(X)
     table = enumerate_group(b3)
     for g in table.elements:
-        basis = _fixed_space([g])
+        basis = _fixed_space([g])[1]
         oracle_p, _ = brute_pc(table, [g])
         assert len(basis) == b3.rank - oracle_p.rank
         for v in basis:
@@ -326,7 +369,9 @@ def test_fixed_space_dimension_is_corank_of_closure(b3):
 
 
 def test_certificate_disagreeing_with_the_scan_raises(a3, monkeypatch):
+    # a finite group reaches the certificate only past the scan's cap
     wrong = make(a3.identity, frozenset({0}))
+    monkeypatch.setattr(paraclose, "MAX_CANDIDATES", 0)
     monkeypatch.setattr(paraclose, "_certify", lambda system, basis: wrong)
     with pytest.raises(InvariantViolation):
         pc(ClosureQuery([a3.generator(2)], 8))
@@ -341,14 +386,14 @@ def test_descent_that_fixes_too_little_raises(monkeypatch):
 
 
 def test_finite_group_past_the_candidate_cap_reports_the_certified_closure(monkeypatch):
-    # a fresh system; the search for the least presentation walks at most
-    # the cap's number of elements, and this query's lies at length 3
+    # a fresh system; the scan counts 7 parabolics at w = e, past a cap of
+    # 5, so pc reports the walked presentation; the least one lies at length 3
     W = build_system(corpus.load("h3").matrix, "abc")
     monkeypatch.setattr(paraclose, "MAX_CANDIDATES", 5)
     query = ClosureQuery([W.element("a c b a b a c")], 16)
     res = pc(query)
     assert res.status is ClosureStatus.EXACT
-    walked = paraclose._certify(W, _fixed_space(query.elements))
+    walked = paraclose._certify(W, _fixed_space(query.elements)[1])
     assert res.closure.describe() == walked.describe() != "(a c b, {a})"
     table = enumerate_group(W)
     oracle_p, oracle_m = brute_pc(table, query.elements)
