@@ -84,35 +84,27 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _word_str(g) -> str:
-    return g.system.format_word(g.word)
-
-
 def _parabolic_fields(p: Parabolic) -> dict:
     sys_ = p.system
-    return {"representative": _word_str(p.rep),
+    return {"representative": str(p.rep),
             "generators": sorted(sys_.labels[s] for s in p.gens),
             "rank": p.rank}
 
 
 def _parabolic_lines(p: Parabolic) -> list[str]:
     sys_ = p.system
-    return [f"representative: {_word_str(p.rep)}",
+    return [f"representative: {p.rep}",
             f"generators: {sys_.format_gens(p.gens)}",
             f"rank: {p.rank}"]
 
 
-def _status_text(status) -> str:
-    return status.value.capitalize()
-
-
 # -- subcommand handlers ------------------------------------------------------
-# Each handler returns (result, lines, exit_code); result feeds the JSON
-# "result" field, lines are the text-mode output.
+# Each handler takes the parsed arguments and the loaded group (None for a
+# subcommand without one) and returns (result, lines, exit_code); result
+# feeds the JSON "result" field, lines are the text-mode output.
 
 
-def cmd_validate(args):
-    system = _load_group(args.group)
+def cmd_validate(args, system):
     matrix = [[("inf" if m == float("inf") else m) for m in row]
               for row in system.matrix]
     result = {"rank": system.rank, "labels": list(system.labels),
@@ -123,26 +115,22 @@ def cmd_validate(args):
     return result, lines, 0
 
 
-def cmd_normalize(args):
-    system = _load_group(args.group)
+def cmd_normalize(args, system):
     g = system.element(args.word)
-    return ({"word": _word_str(g), "length": g.length}, [_word_str(g)], 0)
+    return ({"word": str(g), "length": g.length}, [str(g)], 0)
 
 
-def cmd_mult(args):
-    system = _load_group(args.group)
+def cmd_mult(args, system):
     g = system.element(args.left) * system.element(args.right)
-    return ({"word": _word_str(g), "length": g.length}, [_word_str(g)], 0)
+    return ({"word": str(g), "length": g.length}, [str(g)], 0)
 
 
-def cmd_length(args):
-    system = _load_group(args.group)
+def cmd_length(args, system):
     g = system.element(args.word)
     return ({"length": g.length}, [str(g.length)], 0)
 
 
-def cmd_roots(args):
-    system = _load_group(args.group)
+def cmd_roots(args, system):
     found = root_depths(system, args.depth)
     items = sorted(found.items(),
                    key=lambda kv: (kv[1], tuple(c.coeffs for c in kv[0].coords)))
@@ -154,48 +142,43 @@ def cmd_roots(args):
     return result, lines, 0
 
 
-def cmd_reflect(args):
-    system = _load_group(args.group)
+def cmd_reflect(args, system):
     root = Root(system, _parse_coords(system, args.coords))
     refl = reflection_of_root(root)
-    word = _word_str(refl.element)
+    word = str(refl.element)
     return ({"word": word, "length": refl.element.length}, [word], 0)
 
 
-def cmd_locate(args):
-    system = _load_group(args.group)
+def cmd_locate(args, system):
     point = DualPoint(system, _parse_coords(system, args.coords))
     loc = locate(point)
-    rep_point = "(" + ", ".join(str(c) for c in loc.point.coords) + ")"
-    result = {"element": _word_str(loc.w),
+    result = {"element": str(loc.w),
               "generators": sorted(system.labels[s] for s in loc.gens),
               "point": [str(c) for c in loc.point.coords]}
-    lines = [f"element: {_word_str(loc.w)}",
+    lines = [f"element: {loc.w}",
              f"generators: {system.format_gens(loc.gens)}",
-             f"point: {rep_point}"]
+             f"point: {loc.point}"]
     return result, lines, 0
 
 
-def cmd_intersect(args):
-    system = _load_group(args.group)
+def cmd_intersect(args, system):
     p1 = make(system.element(args.w1), _parse_subset(system, args.i1))
     p2 = make(system.element(args.w2), _parse_subset(system, args.i2))
     q = intersect(p1, p2)
     return _parabolic_fields(q), _parabolic_lines(q), 0
 
 
-def cmd_pc(args):
-    system = _load_group(args.group)
+def cmd_pc(args, system):
     elements = [system.element(w) for w in args.words]
     res = pc(ClosureQuery(elements, args.radius))
     result = _parabolic_fields(res.closure)
     result["status"] = res.status.value
     lines = _parabolic_lines(res.closure)
-    lines.append(f"status: {_status_text(res.status)}")
+    lines.append(f"status: {res.status.value.capitalize()}")
     return result, lines, 0
 
 
-def cmd_verify(args):
+def cmd_verify(args, system):
     from .verify import SUITES, run_suites
     unknown = [name for name in args.suite or () if name not in SUITES]
     if unknown:
@@ -215,11 +198,10 @@ def cmd_verify(args):
     return result, lines, 0 if not failed else 1
 
 
-def cmd_oracle_compare(args):
+def cmd_oracle_compare(args, system):
     import random
 
     from .oracle import enumerate_group
-    system = _load_group(args.group)
     table = enumerate_group(system)
     rng = random.Random(0)
     bad = 0
@@ -326,7 +308,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result, lines, code = args.handler(args)
+        system = _load_group(args.group) if "group" in args else None
+        result, lines, code = args.handler(args, system)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -15,14 +15,14 @@ commuting generator is left as it is.  A neighbour's coordinate moves by
 2*cos(pi/m_st) times another, which is 1 for m_st = 3 and 2 for an unbounded
 label: those edges, classified once from the labels, take one or two
 additions, and only the labels 4, 5, 6, ... a field product.
-There is one dual step (_apply_gen_dual, on a list in place) and one walk
-built on it (_walk_dual): normalize, locate, stabilizer, intersect and
-reflection_of_root walk, and the descent sets, the BFS and the dual actions
-step.  The only difference between systems is the ring of rho: an
-integral system (every label 2, 3 or unbounded) keeps rho in Z^n, so its
-rho-orbit is walked in Python ints and its signs are int comparisons; any
-other system keeps rho in the field.  Public actions and points hold field
-scalars in every system.
+There is one dual step (_apply_gen_dual, on a list in place), one loop
+that steps a point through a word (_dual_steps) and one walk (_walk_dual):
+normalize, locate, stabilizer, intersect and reflection_of_root walk, and
+the descent sets, the BFS and the dual actions step.  The only difference
+between systems is the ring of rho: an integral system (every label 2, 3
+or unbounded) keeps rho in Z^n, so its rho-orbit is walked in Python ints
+and its signs are int comparisons; any other system keeps rho in the
+field.  Public actions and points hold field scalars in every system.
 Every per-query action takes that step, the cached element matrices included:
 their columns are the roots w(alpha_t).  Dense products of the generator
 matrices are kept only as the reference route (compose_matrix and the
@@ -42,6 +42,7 @@ unclassified and larger finite systems keep no table and walk every word.
 from __future__ import annotations
 
 import math
+import os
 
 from .errors import (DimensionMismatch, InvalidMatrix, InvalidQuery, InvariantViolation,
                      MixedSystems, UnknownGenerator, require_count, require_instance,
@@ -241,12 +242,19 @@ class CoxeterSystem:
             for t, c in scaled:
                 q[t] += c * fs
 
+    def _dual_steps(self, letters, q) -> list:
+        """The dual action of each letter in turn, in place on the list q of
+        a point's pairings, which it returns: letters s_1, ..., s_k apply
+        s_k ... s_1.  Every dual action of a word is this one loop."""
+        step = self._apply_gen_dual
+        for s in letters:
+            step(s, q)
+        return q
+
     def _dual_image(self, s: int, coords) -> tuple:
         """sigma_s applied to a dual point, as a new tuple: the hashable form
         of _apply_gen_dual, for tables keyed by point."""
-        q = list(coords)
-        self._apply_gen_dual(s, q)
-        return tuple(q)
+        return tuple(self._dual_steps((s,), list(coords)))
 
     def _walk_dual(self, q, gens, step_cap: int):
         """Walk a dual point, the list q of its pairings, stepped in place,
@@ -273,10 +281,7 @@ class CoxeterSystem:
     def _rho_image(self, letters) -> list:
         """The pairings of w(rho) for w the product of letters, as a list:
         one dual step per letter, last to first."""
-        q, step = list(self._rho), self._apply_gen_dual
-        for s in reversed(letters):
-            step(s, q)
-        return q
+        return self._dual_steps(reversed(letters), list(self._rho))
 
     # -- words and elements ----------------------------------------------------
 
@@ -325,7 +330,7 @@ class CoxeterSystem:
             self._intern[reduced_word] = el
         return el
 
-    def _word_from_inverse_matrix(self, N, step_cap=_NORMALIZE_STEP_CAP):
+    def _word_from_inverse_matrix(self, N):
         """Greedy descent recursion on the matrix N of w^{-1}, the reference
         route for the walks: emits the ShortLex-least reduced word of w, or
         None if the walk does not reach the identity within the cap.  Each
@@ -333,7 +338,7 @@ class CoxeterSystem:
         table."""
         n = self.rank
         word = []
-        for _ in range(step_cap):
+        for _ in range(_NORMALIZE_STEP_CAP):
             descent = None
             for s in range(n):
                 sign = _first_sign(tuple(N[i][s] for i in range(n)))
@@ -468,6 +473,7 @@ class CoxeterSystem:
 
     def form_value(self, u, v) -> FieldScalar:
         """Bilinear form (u, v) on simple-root coordinates."""
+        u, v = (tuple(require_iterable(x, "coordinates")) for x in (u, v))
         if len(u) != self.rank or len(v) != self.rank:
             raise DimensionMismatch("coordinate length does not match the rank")
         total = self.field.zero
@@ -595,20 +601,14 @@ class GroupElement:
         """Dual action on pairing coordinates: <w f, alpha_t> = <f, w^{-1} alpha_t>.
         Coordinates are coerced into the system's field, as for DualPoint."""
         sys = self.system
-        out = list(sys._field_coords(coords))
-        for s in reversed(self.word):
-            sys._apply_gen_dual(s, out)
-        return tuple(out)
+        return tuple(sys._dual_steps(reversed(self.word), list(sys._field_coords(coords))))
 
     def root_pairings(self, coords):
         """The pairings <f, w(alpha_t)> = <w^{-1} f, alpha_t>: the dual action
         of w^{-1} on f, one generator step per letter, first to last.
         Coordinates are coerced into the system's field, as for DualPoint."""
         sys = self.system
-        out = list(sys._field_coords(coords))
-        for s in self.word:
-            sys._apply_gen_dual(s, out)
-        return tuple(out)
+        return tuple(sys._dual_steps(self.word, list(sys._field_coords(coords))))
 
     def fixes_dual_coords(self, coords) -> bool:
         """Whether the dual action fixes the point f, as w^{-1} does: iff
@@ -635,20 +635,18 @@ def build_system(matrix, labels=None) -> CoxeterSystem:
     return CoxeterSystem(matrix, labels)
 
 
-def order_of_product(system: CoxeterSystem, s: int, t: int, cap: int = 64):
+def order_of_product(system: CoxeterSystem, s: int, t: int):
     """Multiplicative order of sigma_s * sigma_t by exact matrix powering.
 
     For a finite label the order must come out equal to m_st; for an
-    unbounded label the powers are checked not to close up within the cap
-    and INFINITY is returned.  A cap that is not a positive int raises
-    InvalidQuery.
+    unbounded label the first 64 powers are checked not to close up and
+    INFINITY is returned.
     """
-    require_count(cap, "cap", positive=True)
     letters = require_instance(system, CoxeterSystem, "system").check_letters((s, t))
     m = system.matrix[letters[0]][letters[1]]
     M = system.compose_matrix(letters)
     P = M
-    bound = cap if m == INFINITY else m
+    bound = 64 if m == INFINITY else m
     for k in range(1, bound + 1):
         if P == system._identity_matrix:
             if k != m:
@@ -678,7 +676,7 @@ def parse_group_file(text: str) -> CoxeterSystem:
     Matrix entries are positive integers (ASCII digits) or ``inf``.  Blank
     lines and lines starting with '#' are ignored.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln.strip() for ln in require_instance(text, str, "group file text").splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if len(lines) < 2:
         raise InvalidMatrix("group file needs a rank line and a labels line")
@@ -709,6 +707,7 @@ def parse_group_file(text: str) -> CoxeterSystem:
 
 
 def serialize_group(system: CoxeterSystem) -> str:
+    require_instance(system, CoxeterSystem, "system")
     lines = [f"rank {system.rank}", "labels " + " ".join(system.labels)]
     for row in system.matrix:
         lines.append(" ".join("inf" if e == INFINITY else str(e) for e in row))
@@ -716,6 +715,11 @@ def serialize_group(system: CoxeterSystem) -> str:
 
 
 def load_group_file(path) -> CoxeterSystem:
+    """The group file at path, a str or os.PathLike.  Anything else raises
+    InvalidQuery: open() would take an int as a file descriptor, and close
+    it."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidQuery(f"group file path {path!r} is not a str or os.PathLike")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_group_file(fh.read())

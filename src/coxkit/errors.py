@@ -2,7 +2,7 @@
 raise InvalidQuery: one for the integer arguments (radius, depth, length,
 caps), one for the arguments iterated over (words, generator sets,
 coordinates, closure query elements) and one for the arguments that must be
-coxkit objects (group elements, parabolics, dual points).
+coxkit objects (systems, fields, group elements, parabolics, dual points).
 
 Every domain error raised by the library derives from CoxeterError, so
 callers (and the command line driver) can distinguish "the input is
@@ -31,8 +31,9 @@ class InvalidQuery(CoxeterError, ValueError):
     """A query's arguments are out of range (no elements, or a radius, depth,
     length or cap that is not a nonnegative int: require_count), or of the
     wrong kind (a word, set or point that cannot be iterated over:
-    require_iterable; an element, parabolic or point of another type:
-    require_instance; word text that is not a string)."""
+    require_iterable; a system, field, element, parabolic or point of
+    another type, or group file text that is not a string: require_instance;
+    word text that is not a string)."""
 
 
 class IrrationalScalar(CoxeterError, ValueError):

@@ -29,7 +29,7 @@ class FiniteGroupTable:
     """Element list and multiplication structure of a finite Coxeter group."""
 
     def __init__(self, system: CoxeterSystem, cap: int = 200000):
-        self.system = system
+        self.system = require_instance(system, CoxeterSystem, "system")
         # all elements in (length, word) order, from the engine's one BFS;
         # the BFS may already be closed by an earlier call, so the cap is
         # checked on every layer set, the closed one included
@@ -138,7 +138,7 @@ def enumerate_group(system: CoxeterSystem, cap: int = 200000) -> FiniteGroupTabl
     """Enumerate a finite group; raises GroupNotFinite past the cap, and
     InvalidQuery for a cap that is not a positive int."""
     require_count(cap, "cap", positive=True)
-    cached = system.cache["oracle_table"]
+    cached = require_instance(system, CoxeterSystem, "system").cache["oracle_table"]
     if cached is not None:
         _check_cap(cached.order, cap)
         return cached
@@ -153,6 +153,7 @@ def brute_pc(table: FiniteGroupTable,
     the minimal-rank characterization: exactly one containing parabolic has
     minimal rank, and it equals the intersection.  Raises NotAParabolic when
     either check fails (they never do, which is the point)."""
+    require_instance(table, FiniteGroupTable, "table")
     indices = {table.element_index(require_instance(g, GroupElement, "element"))
                for g in require_iterable(elements, "elements")}
     containing = [(p, m) for p, m in table.parabolics() if indices <= m]

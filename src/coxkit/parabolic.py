@@ -37,7 +37,7 @@ class Parabolic:
 
     def contains_element(self, g: GroupElement) -> bool:
         """Membership: g lies in the subgroup iff it fixes the base point."""
-        if g.system is not self.system:
+        if require_instance(g, GroupElement, "element").system is not self.system:
             raise MixedSystems("element and subgroup belong to different systems")
         return g.fixes_dual_coords(self.base_point.coords)
 
@@ -46,7 +46,7 @@ class Parabolic:
         our base point (the stabilizer is a group, so this captures all of
         other).  The reflection in a root fixes a point iff the root pairs to
         0 with it."""
-        if other.system is not self.system:
+        if require_instance(other, Parabolic, "subgroup").system is not self.system:
             raise MixedSystems("subgroups belong to different systems")
         pairings = other.rep.root_pairings(self.base_point.coords)
         return all(p.is_zero() for s, p in enumerate(pairings) if s in other.gens)

@@ -83,7 +83,7 @@ class Reflection:
 
 def simple_root(system: CoxeterSystem, s: int) -> Root:
     """The simple root alpha_s; s must be a generator index."""
-    (s,) = system.check_letters((s,))
+    (s,) = require_instance(system, CoxeterSystem, "system").check_letters((s,))
     return Root(system, system.basis_vector(s))
 
 
@@ -140,6 +140,7 @@ def root_depths(system: CoxeterSystem, depth: int,
     the subsystem on that generator subset.  A depth that is not a
     nonnegative int raises InvalidQuery."""
     require_count(depth, "depth")
+    require_instance(system, CoxeterSystem, "system")
     I = sorted(system.label_set(gens)) if gens is not None else range(system.rank)
     seen: dict[Root, int] = {}
     frontier = [simple_root(system, s) for s in I]

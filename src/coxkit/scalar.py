@@ -22,11 +22,13 @@ closed form too.  Floating point is never consulted.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
-from .errors import (DimensionMismatch, FieldTooLarge, IncompatibleOrder,
-                     InvalidMatrix, InvariantViolation, IrrationalScalar, MixedFields)
+from .errors import (DimensionMismatch, FieldTooLarge, IncompatibleOrder, InvalidMatrix,
+                     InvariantViolation, IrrationalScalar, MixedFields, require_instance,
+                     require_iterable)
 
 INFINITY = math.inf  # Coxeter matrix entry for an unbounded product order
 
@@ -277,7 +279,7 @@ class FieldContext:
 
     def coerce(self, value) -> "FieldScalar":
         """value as an element of this field: a scalar of this context, an
-        int or a Fraction.  Anything else, floats included, raises
+        int or a Fraction.  Anything else, floats and bools included, raises
         MixedFields."""
         if isinstance(value, FieldScalar):
             if value.ctx is not self:
@@ -289,9 +291,11 @@ class FieldContext:
         return self.scalar((q,))
 
     def scalar(self, coeffs) -> "FieldScalar":
-        """sum c_i theta^i for int or Fraction c_i; anything else raises MixedFields."""
-        cs = list(coeffs)
-        if not all(isinstance(c, (int, Fraction)) for c in cs):
+        """sum c_i theta^i for int or Fraction c_i; anything else, a bool
+        included, raises MixedFields, and coefficients that cannot be
+        iterated over raise InvalidQuery."""
+        cs = list(require_iterable(coeffs, "coefficients"))
+        if not all(isinstance(c, (int, Fraction)) and not isinstance(c, bool) for c in cs):
             raise MixedFields(f"{cs!r}: every coefficient must be an int or a Fraction")
         cs = [Fraction(c) for c in cs]
         if len(cs) > self.degree:
@@ -324,9 +328,11 @@ class FieldContext:
         return f"FieldContext(L={self.L}, degree={self.degree})"
 
 
+@functools.total_ordering
 class FieldScalar:
     """An element of Q(theta), stored as the coefficient tuple of its
-    canonical representative modulo the minimal polynomial of theta."""
+    canonical representative modulo the minimal polynomial of theta.  The
+    order is the real one: <=, > and >= derive from < and ==."""
 
     __slots__ = ("ctx", "coeffs", "_sign")
 
@@ -461,24 +467,6 @@ class FieldScalar:
             return NotImplemented
         return (self - o).sign() < 0
 
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -546,6 +534,7 @@ def build_field(coxeter_matrix) -> FieldContext:
 def cos_pi_over(ctx: FieldContext, m) -> FieldScalar:
     """cos(pi/m) as an element of the field; m = INFINITY yields 1 (the
     caller negates it for the bilinear form of an unbounded label)."""
+    require_instance(ctx, FieldContext, "field")
     if m == INFINITY:
         return ctx.one
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:

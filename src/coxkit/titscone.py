@@ -8,9 +8,11 @@ carried to the fundamental domain by repeatedly applying a generator whose
 pairing is negative, and the stabilizer of a point of w(C_I) is exactly
 w W_I w^{-1}.
 
-Membership in U is decided exactly, without a walk, for the finite, affine
-and compact hyperbolic components of a system (see ConeComponent); U is the
-product of its components' cones.
+The Tits cone U is the product of its components' cones.  ConeComponent
+classifies the finite, affine and compact hyperbolic components, and finds a
+point of such a component's cone in a span, exactly.  No function here
+decides whether a given point lies in U: locate walks, and a point outside U
+walks to the step cap (StepCapExceeded).
 """
 
 from __future__ import annotations
@@ -111,12 +113,12 @@ def locate(f: DualPoint, step_cap: int = DEFAULT_STEP_CAP) -> CellLocation:
     return CellLocation(system.normalize(letters), gens, DualPoint(system, coords))
 
 
-def stabilizer(f: DualPoint, step_cap: int = DEFAULT_STEP_CAP):
+def stabilizer(f: DualPoint):
     """The stabilizer w W_I w^{-1} of a point f = w(f0), f0 in C_I, of the
     Tits cone.  f and w(f_I) pair with every root with the same sign, so
     their walks agree, and locate's w is already shortest in w*W_I (make)."""
     from .parabolic import Parabolic
-    loc = locate(f, step_cap)
+    loc = locate(f)
     base = fundamental_point(f.system, loc.gens).transformed_by(loc.w)
     return Parabolic(loc.w, loc.gens, base)
 

@@ -18,11 +18,11 @@ from itertools import combinations
 
 from . import corpus
 from .coxgroup import _first_sign, order_of_product
-from .errors import InvariantViolation, NotAParabolic
+from .errors import InvariantViolation, NotAParabolic, require_iterable
 from .oracle import brute_pc, enumerate_group
 from .parabolic import conjugacy_normalize, intersect, make
 from .paraclose import ClosureQuery, ClosureStatus, pc, scan_closure
-from .roots import descend_root, reflection_of_root, root_depths
+from .roots import descend_root, enumerate_roots, reflection_of_root, root_depths
 from .scalar import FieldContext, double_cosine_poly
 from .titscone import fundamental_point, locate, stabilizer
 
@@ -234,8 +234,7 @@ def suite_length_sign(check):
     for name in sorted(EXPECTED_ORDERS):
         system = corpus.load(name)
         table = enumerate_group(system)
-        roots = sorted(root_depths(system, 64),
-                       key=lambda r: tuple(c.coeffs for c in r.coords))
+        roots = enumerate_roots(system, 64)
         reflections = [(r, reflection_of_root(r).element) for r in roots]
         for w in table.elements:
             wi = table.element_index(w)
@@ -471,7 +470,7 @@ def suite_cone_stabilizers(check):
 def run_suites(names=None) -> list[SuiteResult]:
     """Run the named suites in the order given, all of them by default; an
     unknown name raises KeyError before any suite runs."""
-    names = list(SUITES) if names is None else list(names)
+    names = list(SUITES) if names is None else list(require_iterable(names, "suite names"))
     for name in names:
         if name not in SUITES:
             raise KeyError(f"no suite named {name!r}")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -8,17 +9,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coxkit import corpus, coxgroup
-from coxkit.coxgroup import (_first_sign, build_system, order_of_product,
+from coxkit.coxgroup import (_first_sign, build_system, load_group_file, order_of_product,
                              parse_group_file, serialize_group)
-from coxkit.errors import (DimensionMismatch, InvalidMatrix, InvalidQuery,
+from coxkit.errors import (DimensionMismatch, IncompatibleOrder, InvalidMatrix, InvalidQuery,
                            InvariantViolation, MixedFields, MixedSystems,
                            UnknownGenerator)
-from coxkit.oracle import brute_pc, enumerate_group
+from coxkit.oracle import FiniteGroupTable, brute_pc, enumerate_group
 from coxkit.parabolic import conjugacy_normalize, intersect, make
 from coxkit.paraclose import ClosureQuery, pc
-from coxkit.roots import Root, descend_root, reflection_of_root, root_of
+from coxkit.roots import (Root, descend_root, enumerate_roots, reflection_of_root, root_depths,
+                          root_of, simple_root)
 from coxkit.titscone import DualPoint, cone_components, fundamental_point, locate
-from coxkit.scalar import INFINITY, FieldScalar
+from coxkit.scalar import INFINITY, FieldScalar, cos_pi_over, validate_matrix
+from coxkit.verify import run_suites
 
 from groupmodels import MODELS
 
@@ -163,13 +166,6 @@ def test_order_of_product_examples(a2, b2, dinf):
     assert order_of_product(dinf, 0, 1) == INFINITY
 
 
-@pytest.mark.parametrize("cap", [True, 0, -3, "x", 2.5])
-def test_order_of_product_rejects_bad_cap(dinf, cap):
-    # True would check one power, and 0 or -3 none, before answering INFINITY
-    with pytest.raises(InvalidQuery):
-        order_of_product(dinf, 0, 1, cap)
-
-
 @pytest.mark.parametrize("label", [2, 4, INFINITY])
 def test_order_of_product_rejects_tampered_label(label):
     # the order comes from the generator matrices, so a label that no longer
@@ -202,6 +198,20 @@ def test_group_file_rejects_malformed():
         parse_group_file("rank \u00b2\nlabels s t\n1 3\n3 1\n")
     with pytest.raises(InvalidMatrix):
         parse_group_file("rank 2\nlabels s t\n\u00b9 3\n3 1\n")
+
+
+def test_group_file_path_that_is_not_a_path_rejected():
+    # open() takes an int as a file descriptor, reads it and closes it: the
+    # descriptor must be refused, and left open
+    read_end, write_end = os.pipe()
+    os.write(write_end, corpus.source("a2").encode())
+    os.close(write_end)
+    with pytest.raises(InvalidQuery):
+        load_group_file(read_end)
+    os.fstat(read_end)
+    os.close(read_end)
+    with pytest.raises(InvalidQuery):
+        load_group_file(None)
 
 
 # -- agreement with concrete models ---------------------------------------------
@@ -563,12 +573,15 @@ def test_infinite_systems_build_no_left_table(text):
 
 def test_finite_system_past_the_cap_walks_with_the_same_answers(monkeypatch):
     # with the cap at 10, a1xa1 (2 x 4 entries) keeps a table and h3
-    # (3 x 120) keeps none and walks every word, without enumerating
+    # (3 x 120) keeps none and walks every word, without enumerating; the
+    # tabled reference is a fresh h3 whose table is filled before the cap
+    # drops, whatever ran before
+    tabled = parse_group_file(corpus.source("h3"))
+    _fill_left_table(tabled)
     monkeypatch.setattr(coxgroup, "MAX_LEFT_TABLE", 10)
     small = parse_group_file(corpus.source("a1xa1"))
     assert _fill_left_table(small) == 8
     system = parse_group_file(corpus.source("h3"))
-    tabled = corpus.load("h3")
     words = _random_words(system, 30, seed=11)
     for u, v in zip(words, words[1:]):
         g, h = system.normalize(u), system.normalize(v)
@@ -872,15 +885,70 @@ _NOT_A_COXKIT_OBJECT_CALLS = {
     "conjugacy_normalize(W, I, J, 'x')": lambda W: conjugacy_normalize(W, [0], [0], "x"),
     "order_of_product('x', 0, 1)": lambda W: order_of_product("x", 0, 1),
     "brute_pc(table, ['x'])": lambda W: brute_pc(enumerate_group(W), ["x"]),
+    "serialize_group(5)": lambda W: serialize_group(5),
+    "parse_group_file(5)": lambda W: parse_group_file(5),
+    "root_depths(5, 2)": lambda W: root_depths(5, 2),
+    "enumerate_roots(5, 2)": lambda W: enumerate_roots(5, 2),
+    "simple_root(5, 0)": lambda W: simple_root(5, 0),
+    "enumerate_group(5)": lambda W: enumerate_group(5),
+    "FiniteGroupTable(5)": lambda W: FiniteGroupTable(5),
+    "brute_pc(5, [g])": lambda W: brute_pc(5, [W.identity]),
+    "run_suites(5)": lambda W: run_suites(5),
+    "cos_pi_over(5, 3)": lambda W: cos_pi_over(5, 3),
+    "field.scalar(5)": lambda W: W.field.scalar(5),
+    "form_value(5, 5)": lambda W: W.form_value(5, 5),
+    "P.contains(5)": lambda W: make(W.identity, [0]).contains(5),
+    "P.equals(5)": lambda W: make(W.identity, [0]).equals(5),
+    "P.contains_element(5)": lambda W: make(W.identity, [0]).contains_element(5),
 }
 
 
 @pytest.mark.parametrize("call", sorted(_NOT_A_COXKIT_OBJECT_CALLS))
 def test_argument_that_is_not_a_coxkit_object_is_a_typed_error(a2, call):
-    # a string where a system, element or root belongs: InvalidQuery, not a
-    # bare AttributeError
+    # a string or an int where a system, field, table, element, root,
+    # subgroup, text or list belongs: InvalidQuery, not a bare
+    # AttributeError or TypeError
     with pytest.raises(InvalidQuery):
         _NOT_A_COXKIT_OBJECT_CALLS[call](a2)
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.cox"
+    path.write_bytes(b"rank 1\nlabels \xe9\n1\n")
+    return load_group_file(path)
+
+
+_TYPED_ERROR_CALLS = {
+    "validate_matrix(empty)": (lambda W, V, tmp: validate_matrix([]), InvalidMatrix),
+    "validate_matrix(not square)": (lambda W, V, tmp: validate_matrix([[1, 3], [3]]),
+                                    InvalidMatrix),
+    "validate_matrix(bad entry)": (lambda W, V, tmp: validate_matrix([[1, 2.5], [2.5, 1]]),
+                                   InvalidMatrix),
+    "parse_group_file(bad labels)": (
+        lambda W, V, tmp: parse_group_file("rank 2\nlabels s\n1 3\n3 1\n"), InvalidMatrix),
+    "load_group_file(not UTF-8)": (lambda W, V, tmp: _not_utf8(tmp), InvalidMatrix),
+    "label_set(unknown label)": (lambda W, V, tmp: W.label_set(["z"]), UnknownGenerator),
+    "form_value(short)": (lambda W, V, tmp: W.form_value((1,), (1, 0)), DimensionMismatch),
+    "cos_pi_over(bad label)": (lambda W, V, tmp: cos_pi_over(W.field, 0), IncompatibleOrder),
+    "contains(other system)": (
+        lambda W, V, tmp: make(W.identity, [0]).contains(make(V.identity, [0])), MixedSystems),
+    "intersect(other system)": (
+        lambda W, V, tmp: intersect(make(W.identity, [0]), make(V.identity, [0])),
+        MixedSystems),
+    "conjugacy_normalize(other system)": (
+        lambda W, V, tmp: conjugacy_normalize(W, [0], [0], V.identity), MixedSystems),
+    "subgroup_elements(other system)": (
+        lambda W, V, tmp: enumerate_group(W).subgroup_elements(make(V.identity, [0])),
+        MixedSystems),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_TYPED_ERROR_CALLS))
+def test_each_refusal_raises_its_typed_error(a2, b2, tmp_path, call):
+    # refusals that no other tier-1 test reaches in process
+    fn, error = _TYPED_ERROR_CALLS[call]
+    with pytest.raises(error):
+        fn(a2, b2, tmp_path)
 
 
 # 2 is a2's rank, one past its last generator index

@@ -13,6 +13,8 @@ from mpmath import mp
 import coxkit
 from coxkit import corpus
 from coxkit import scalar
+from coxkit.roots import Root
+from coxkit.titscone import DualPoint
 from coxkit.errors import (CoxeterError, DimensionMismatch, FieldTooLarge,
                            IncompatibleOrder, InvalidMatrix, InvariantViolation,
                            IrrationalScalar, MixedFields)
@@ -283,6 +285,18 @@ def test_rational_constructors_take_what_coerce_takes():
                 build(bad)
 
 
+def test_bool_coefficients_rejected():
+    # bool is an int subclass, but True is no coordinate, as it is no matrix
+    # entry, generator index or count
+    b3 = corpus.load("b3")
+    for build in (b3.field.from_rational, b3.field.coerce, lambda q: b3.field.scalar([1, q]),
+                  lambda q: DualPoint(b3, (q, False, 1)), lambda q: Root(b3, (q, 0, 1))):
+        with pytest.raises(MixedFields):
+            build(True)
+    with pytest.raises(MixedFields):
+        b3.field.one + True
+
+
 def test_as_fraction_of_irrational_scalar_is_a_typed_error():
     field = corpus.load("b3").field
     assert field.from_rational(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
@@ -340,11 +354,20 @@ def test_sign_multiplicative(a, b):
     assert (a * b).sign() == a.sign() * b.sign()
 
 
-@given(scalars(), scalars())
-def test_comparisons_are_an_order(a, b):
+@given(scalars(), scalars(), st.integers(-3, 3))
+def test_comparisons_are_an_order(a, b, k):
+    # <=, > and >= derive from < and ==; an int on the left is compared
+    # through the reflected method
     assert (a < b) == ((b - a).sign() > 0)
     assert (a == b) == (b - a).is_zero()
     assert (a < b) or (a == b) or (a > b)
+    assert (a <= b) == (b >= a) == ((b - a).sign() >= 0)
+    assert (a > b) == (b < a) and (a >= b) == (not a < b)
+    assert (k < a) == (a > k) == ((a - k).sign() > 0)
+    assert (k <= a) == (a >= k) == ((a - k).sign() >= 0)
+    assert (k > a) == (a < k) and (k >= a) == (a <= k)
+    k_scalar = _CTX.from_rational(k)
+    assert (k_scalar <= k) and (k_scalar >= k) and not (k < k_scalar)
 
 
 @given(st.sampled_from(corpus.NAMES), st.data())
